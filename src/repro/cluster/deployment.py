@@ -168,9 +168,13 @@ class Deployment:
                 continue
             node.alive = False  # routing layer flag; scheduler still sweeps it
 
-    def _is_known_dead(self, name: str, now: float) -> bool:
-        t = self._known_dead.get(name)
-        return t is not None and now >= t
+    def detected_at(self, name: str, submit_at: float) -> float:
+        """When a sub-query sent to dead *name* at *submit_at* is re-sent.
+
+        The front-end learns of a sudden failure ``failure_timeout`` after
+        it happened; a sub-query submitted earlier waits for that timer.
+        """
+        return max(submit_at, self._known_dead.get(name, submit_at))
 
     def recover_node(self, name: str, now: float) -> None:
         """Bring a failed (but not removed) server back into service."""
@@ -323,7 +327,7 @@ class Deployment:
             sub, node, submit_at = pieces.pop()
             server = self.servers[node.name]
             if server.failed:
-                detect_at = max(submit_at, self._known_dead.get(node.name, submit_at))
+                detect_at = self.detected_at(node.name, submit_at)
                 try:
                     replacements = self.frontend.resolve_failures([sub], p_store)
                 except FailureCoverageError:

@@ -48,8 +48,8 @@ reductions.  The default implementation is the reference python loop
 compiled kernel overrides it with a single C call per chunk and sets
 ``fused_commit = True`` so the engine prefers the bulk seam even for
 short spans.  The engine only enters the bulk seam outside failure
-windows and with a span-constant ``pq``, so ``commit_batch`` never needs
-to delegate or re-plan; the exactness contract extends to it unchanged
+windows and with a span-constant ``pq``, so ``commit_batch`` never meets
+a dead piece or re-plans; the exactness contract extends to it unchanged
 (``exact = True`` kernels must produce bit-identical *state*, not just
 decisions).
 """

@@ -2,11 +2,12 @@
 
 The batched engine (:mod:`repro.sim.fastpath`) reports one end-to-end
 wall-clock number per run.  :class:`PhaseProfiler` splits that wall into
-the engine's phases -- the arrival-order rng draw, the kernel's fused
-sweep+commit, the numpy flush reductions, chunk listeners, exact-time
-action callbacks, failure delegation, mirror materialisation -- using
-``time.perf_counter_ns`` accumulators, plus per-chunk samples suitable
-for a chrome://tracing export.
+the engine's phases -- the arrival-order rng draw, cover-table resolution,
+the kernel's fused sweep+commit, the inline commit and its failure
+fall-back, the numpy flush reductions, chunk listeners, exact-time action
+callbacks, mirror materialisation -- using ``time.perf_counter_ns``
+accumulators, plus per-chunk samples suitable for a chrome://tracing
+export.
 
 Two contracts the engine instrumentation holds:
 
@@ -21,8 +22,8 @@ Two contracts the engine instrumentation holds:
 Attribution is *exclusive*: nested phases (the listener loop runs inside
 a flush, a flush inside an action's materialise) subtract their inclusive
 time from the enclosing frame, so phase totals are disjoint and sum to
-(at most) the measured wall.  The residual -- span bookkeeping, table
-builds, result assembly -- is reported as ``other``.
+(at most) the measured wall.  The residual -- span bookkeeping, mirror
+shadow re-derivation, result assembly -- is reported as ``other``.
 
 Example -- profile a tiny batched run::
 
@@ -32,7 +33,7 @@ Example -- profile a tiny batched run::
     >>> res = dep.run_queries_fast([i * 0.01 for i in range(64)], 4,
     ...                            profile=True)
     >>> sorted(res.profile.summary()["phases"])
-    ['arrival_draw', 'flush', 'materialise', 'sweep_commit']
+    ['arrival_draw', 'flush', 'materialise', 'sweep_commit', 'tables']
     >>> res.profile.summary()["n_chunks"]
     1
     >>> resolve_profile(False) is None
@@ -59,15 +60,19 @@ PROFILE_ENV = "REPRO_PROFILE"
 
 #: The engine phases, in hot-path order.  ``commit`` is the inline
 #: per-query python commit (short spans, failure windows, per-query
-#: ``pq_fn``); ``reference`` is the per-query reference path.
+#: ``pq_fn``); ``failover`` is the Section 4.4 fall-back of a
+#: failure-window query inside it; ``tables`` resolves a cover table for
+#: a new (membership, pq) pair; ``reference`` is the per-query reference
+#: path.
 PHASES = (
     "arrival_draw",
+    "tables",
     "sweep_commit",
     "commit",
+    "failover",
     "flush",
     "listeners",
     "actions",
-    "delegate",
     "materialise",
     "reference",
 )

@@ -19,10 +19,10 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
   listeners and the traffic ledger -- commutes into per-server reductions.
   Queries accumulate into flat chunk buffers; a chunk is flushed with a
   handful of numpy ops (``np.add.at`` preserves per-server float addition
-  order, so even busy-time sums are bit-exact) whenever an action fires, a
-  failure-window query must be delegated, the buffer cap is reached, or the
-  batch ends.  The topological cut points of the arrival order are exactly
-  the points where some consumer could observe intermediate state.
+  order, so even busy-time sums are bit-exact) whenever an action fires,
+  the buffer cap is reached, or the batch ends.  The topological cut
+  points of the arrival order are exactly the points where some consumer
+  could observe intermediate state.
 
 * **Pluggable scheduling kernels.**  The per-query decision itself --
   estimate evaluation, the precomputed rotation sweep, the final
@@ -47,7 +47,19 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
   fuses the whole span into one C call, which removes the last
   per-query python from the hot path.  Failure windows and per-query
   ``pq_fn`` callables stay on the inline per-query loop, where the
-  delegation machinery and rng draw order live.
+  failure fall-back and its rng draw order live.
+
+* **Inline failure fall-back.**  A query whose schedule touches a failed
+  server is committed by :meth:`_Engine._failover`, still inside the
+  inline loop and off the kernel's own decision: it builds the query's
+  sub-queries with the reference plan code, reserves every planned
+  sub-query (dead ones included), and walks the pieces as a LIFO stack,
+  resolving each dead piece with the reference
+  :meth:`~repro.core.frontend.FrontEnd.resolve_failures` (Section 4.4:
+  split around the dead run, or drop the query when the run is wider
+  than ``1/p``).  Executed pieces land in the same chunk buffers as any
+  other sub-query, so a failure window costs no flush, no materialise
+  and no heap re-schedule.
 
 * **Exact-time action queue.**  :class:`Action` schedules a callback to run
   *between two specific queries* (before ``arrival_times[index]``).  The
@@ -60,10 +72,10 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
 The batched path is only landable because it is *provably the same system*:
 for equal seeds it produces bit-identical per-query server sets, latencies,
 traces, statistics, and scheduler work counters as the per-query reference
-path -- ``tests/test_fastpath.py`` holds that line.  Queries whose schedule
-touches a failed server are delegated, one at a time, to the reference path
-so the (rare, rng-consuming) failure fall-back machinery stays the single
-source of truth.
+path -- ``tests/test_fastpath.py`` holds that line.  The failure fall-back
+follows ``Deployment.run_query`` statement for statement and calls the
+same ``split_failed`` code, so the rng-consuming splits stay the single
+source of truth and draw in the same order.
 
 Requires the deployment's front-end to run the default configuration
 (``method="heap"``, no range adjustment, no splitting); other configurations
@@ -82,7 +94,10 @@ try:
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
+from ..core.adjust import PlannedSub
 from ..core.covertable import CoverTableCache, require_numpy
+from ..core.failures import FailureCoverageError
+from ..core.ids import cw_distance, frac
 from ..kernels.base import (
     CommitBuffers,
     CommitPlan,
@@ -183,13 +198,14 @@ class BatchResult:
     dropped: int
     #: per-query server name tuples, populated when record_assignments=True.
     assignments: Optional[list[tuple[str, ...]]]
-    #: queries scheduled through the cover table vs. delegated to the
-    #: per-query reference path (failure handling).
+    #: queries scheduled through the cover table vs. run by the per-query
+    #: reference path (always 0 on the batched path, every query on
+    #: :func:`run_queries_reference`).
     fast_scheduled: int
     delegated: int
     wall_seconds: float
-    #: sizes of the accounting chunks that were flushed (cut at actions,
-    #: delegations, the buffer cap, and batch end).
+    #: completed queries per flushed accounting chunk (cut at actions, the
+    #: buffer cap, and batch end).
     chunk_sizes: list[int] = field(default_factory=list)
     #: actions fired from the exact-time queue during this run.
     actions_applied: int = 0
@@ -201,6 +217,10 @@ class BatchResult:
     #: reached the scheduler, and the per-shed reasons live in the
     #: controller's :class:`~repro.admission.records.ShedLog`).
     shed: int = 0
+    #: failure-window queries the batched engine resolved itself
+    #: (Section 4.4 split or drop), completed or dropped; also counted in
+    #: ``fast_scheduled``.
+    failover: int = 0
 
     def completed_latencies(self) -> "np.ndarray":
         return self.latencies[~np.isnan(self.latencies)]
@@ -287,7 +307,7 @@ class _Engine:
         self.dropped = 0
         self.shed_n = 0
         self.fast_scheduled = 0
-        self.delegated = 0
+        self.failover = 0
         self.actions_applied = 0
         self.chunk_sizes: list[int] = []
 
@@ -322,6 +342,8 @@ class _Engine:
             self.ring_starts.append([nd.start for nd in nodes])
         self.nodes_flat = nodes_flat
         self.names_flat = [nd.name for nd in nodes_flat]
+        #: global index of a node name (failure replacements name nodes)
+        self.g_of = {name: g for g, name in enumerate(self.names_flat)}
         self.stats_flat = [fe.stats_for(nd) for nd in nodes_flat]
         self.servers_flat = [dep.servers[nd.name] for nd in nodes_flat]
         self.single_ring = len(self.rings) == 1
@@ -415,63 +437,68 @@ class _Engine:
         #: per sub-query rows ``(g, service, work, finish, start)``,
         #: flattened across the chunk's queries in submit order.
         self.subs: list[tuple] = []
-        #: per query rows ``(q_i, now, pq, qid, rtt, sched, total, mw, ms)``.
+        #: per query rows ``(q_i, now, pq, qid, rtt, sched, total, mw, ms)``
+        #: of the completed queries; a dropped query leaves sub rows only.
         self.qrows: list[tuple] = []
+        #: trace segments ``(qid, arrival, n_rows)`` covering ``subs`` in
+        #: order; only kept when some server records a trace.
+        self.tsegs: list[tuple] = []
 
     def _flush(self) -> None:
         """Account the buffered chunk with array reductions + one record pass."""
-        nq = len(self.qrows)
-        if nq == 0:
+        # qs_acc counts every query committed since the last flush, dropped
+        # ones included, so it is zero exactly when nothing is pending
+        if self.qs_acc == 0:
             return
         prof = self.prof
         if prof is not None:
             prof.begin("flush")
-        sg_t, ssv_t, swk_t, sf_t, sst_t = zip(*self.subs)
-        sg = np.array(sg_t, dtype=np.intp)
-        ssv = np.array(ssv_t)
-        swk = np.array(swk_t)
-        sf = np.array(sf_t)
-        # np.add.at applies unbuffered, element-by-element in index order,
-        # so repeated-server float sums keep the reference addition order.
-        np.add.at(self.bt, sg, ssv)
-        np.add.at(self.om, sg, swk)
-        counts = np.bincount(sg, minlength=len(self.tasks))
-        self.tasks += counts
-        self.cc += counts
-        # per-server finishes are monotone, so last-in-order == max
-        np.maximum.at(self.ls, sg, sf)
-        self.touched[sg] = True
+        if self.subs:
+            sg_t, ssv_t, swk_t, sf_t, sst_t = zip(*self.subs)
+            sg = np.array(sg_t, dtype=np.intp)
+            # np.add.at applies unbuffered, element-by-element in index
+            # order, so repeated-server float sums keep the reference
+            # addition order.
+            np.add.at(self.bt, sg, np.array(ssv_t))
+            np.add.at(self.om, sg, np.array(swk_t))
+            counts = np.bincount(sg, minlength=len(self.tasks))
+            self.tasks += counts
+            self.cc += counts
+            # per-server finishes are monotone, so last-in-order == max
+            np.maximum.at(self.ls, sg, np.array(sf_t))
+            self.touched[sg] = True
 
-        qidx_t, qnow_t, qpq_t, qqid_t, qrtt_t, qsched_t, qtotal_t, qmw_t, qms_t = zip(
-            *self.qrows
-        )
-        qidx = np.array(qidx_t, dtype=np.intp)
-        qnow = np.array(qnow_t)
-        qtotal = np.array(qtotal_t)
-        fr = qnow + qtotal
-        delay = fr - qnow
-        self.latencies[qidx] = delay
-        self.finishes[qidx] = fr
-        qqid = np.array(qqid_t, dtype=np.int64)
-        qpq = np.array(qpq_t, dtype=np.int64)
-        self.query_ids[qidx] = qqid
-        self.pqs[qidx] = qpq
+        nq = len(self.qrows)
+        if nq:
+            qidx_t, qnow_t, qpq_t, qqid_t, qrtt_t, qsched_t, qtotal_t, qmw_t, qms_t = (
+                zip(*self.qrows)
+            )
+            qidx = np.array(qidx_t, dtype=np.intp)
+            qnow = np.array(qnow_t)
+            qtotal = np.array(qtotal_t)
+            fr = qnow + qtotal
+            delay = fr - qnow
+            self.latencies[qidx] = delay
+            self.finishes[qidx] = fr
+            qqid = np.array(qqid_t, dtype=np.int64)
+            qpq = np.array(qpq_t, dtype=np.int64)
+            self.query_ids[qidx] = qqid
+            self.pqs[qidx] = qpq
 
-        self._emit_records(
-            qqid,
-            qnow,
-            fr,
-            qpq,
-            np.array(qrtt_t),
-            np.array(qsched_t),
-            qtotal,
-            np.array(qmw_t),
-            np.array(qms_t),
-            sg_t,
-            sst_t,
-            sf_t,
-            swk_t,
-        )
+            self._emit_records(
+                qqid,
+                qnow,
+                fr,
+                qpq,
+                np.array(qrtt_t),
+                np.array(qsched_t),
+                qtotal,
+                np.array(qmw_t),
+                np.array(qms_t),
+            )
+            self.chunk_sizes.append(nq)
+        if self.trace_any and self.subs:
+            self._emit_trace(self.tsegs, sg_t, sst_t, sf_t, swk_t)
 
         dep = self.dep
         fe = self.fe
@@ -488,7 +515,6 @@ class _Engine:
         self.ledger.record_result(self.led_rmsg)
         self.led_qmsg = self.led_rmsg = 0
 
-        self.chunk_sizes.append(nq)
         self._reset_buffers()
         if prof is not None:
             prof.end()
@@ -504,10 +530,6 @@ class _Engine:
         qtotal,
         qmw,
         qms,
-        sg_l,
-        sst_l,
-        sf_l,
-        swk_l,
     ) -> None:
         """Land one chunk's per-query telemetry as columns.
 
@@ -521,8 +543,7 @@ class _Engine:
         :class:`QueryRecord` the per-query path would have built.
         Shared by the buffered flush (tuple rows) and the bulk flush
         (kernel out buffers), so the two paths cannot drift in what they
-        record.  ``s*`` are flat per-sub-query sequences in submit order,
-        consumed ``qpq[k]`` at a time (only read when tracing is on).
+        record.
         """
         dep = self.dep
         nq = len(qnow)
@@ -569,24 +590,26 @@ class _Engine:
         if prof is not None and has_listeners:
             prof.end()
 
-        if self.trace_any:
-            servers_flat = self.servers_flat
-            qpq_l = qpq.tolist()
-            qnow_l = qnow.tolist()
-            qrtt_l = qrtt.tolist()
-            qqid_l = qqid.tolist()
-            off = 0
-            for k in range(nq):
-                pq = qpq_l[k]
-                arr_t = qnow_l[k] + qrtt_l[k] / 2.0
-                qid = qqid_l[k]
-                for j in range(off, off + pq):
-                    server = servers_flat[sg_l[j]]
-                    if server.keep_trace:
-                        server.trace.append(
-                            TaskRecord(qid, arr_t, sst_l[j], sf_l[j], swk_l[j])
-                        )
-                off += pq
+    def _emit_trace(self, segs, sg_l, sst_l, sf_l, swk_l) -> None:
+        """Append one chunk's trace records to the tracing servers.
+
+        ``s*`` are flat per-sub-query sequences in submit order; *segs*
+        covers them in order as ``(qid, arrival, n_rows)`` runs -- ``pq``
+        rows at ``now + rtt/2`` for an ordinary query, one row per executed
+        piece of a failure-window query (replacements arrive at
+        ``detect_at + rtt/2``).  Exactly the records ``SimServer.submit``
+        appends on the reference path.
+        """
+        servers_flat = self.servers_flat
+        off = 0
+        for qid, arr_t, n_rows in segs:
+            for j in range(off, off + n_rows):
+                server = servers_flat[sg_l[j]]
+                if server.keep_trace:
+                    server.trace.append(
+                        TaskRecord(qid, arr_t, sst_l[j], sf_l[j], swk_l[j])
+                    )
+            off += n_rows
 
     def _materialise(self) -> None:
         """Flush, then write exact object state (servers + node stats)."""
@@ -643,6 +666,9 @@ class _Engine:
     def _table_for(self, pq: int) -> PqEntry:
         entry = self.tables.get(pq)
         if entry is None:
+            prof = self.prof
+            if prof is not None:
+                prof.begin("tables")
             table = self.cache.get(self.rings, pq)
             for lo, hi, rt in zip(self.ring_lo, self.ring_hi, table.ring_tables):
                 if self.names_flat[lo:hi] != [
@@ -654,6 +680,8 @@ class _Engine:
                     )
             entry = PqEntry(table, pq, self.dataset, self.spd)
             self.tables[pq] = entry
+            if prof is not None:
+                prof.end()
         return entry
 
     # -- the hot loop ------------------------------------------------------
@@ -665,7 +693,7 @@ class _Engine:
         per-query ``pq_fn`` callable) go through the kernel's bulk
         sweep+commit seam (:meth:`_run_span_bulk`); everything else takes
         the inline per-query path (:meth:`_run_span`), which owns the
-        failure-delegation machinery.  Both produce bit-identical state.
+        failure fall-back.  Both produce bit-identical state.
         """
         wall_start = time.perf_counter()
         n_q = len(self.arr_l)
@@ -706,12 +734,13 @@ class _Engine:
             dropped=self.dropped,
             assignments=self.assignments,
             fast_scheduled=self.fast_scheduled,
-            delegated=self.delegated,
+            delegated=0,
             wall_seconds=wall,
             chunk_sizes=self.chunk_sizes,
             actions_applied=self.actions_applied,
             profile=self.prof,
             shed=self.shed_n,
+            failover=self.failover,
         )
 
     # -- the bulk seam -----------------------------------------------------
@@ -839,13 +868,6 @@ class _Engine:
         self.qid_last = qid0 + nq
         self.pqs[pos : pos + nq] = pq
 
-        if self.trace_any:
-            sg_l = sg.tolist()
-            sst_l = bufs.sub_start[:m].tolist()
-            sf_l = bufs.sub_finish[:m].tolist()
-            swk_l = bufs.sub_work[:m].tolist()
-        else:
-            sg_l = sst_l = sf_l = swk_l = ()
         self._emit_records(
             qqid,
             qnow,
@@ -856,11 +878,18 @@ class _Engine:
             qtotal,
             bufs.q_mw[:nq],
             bufs.q_ms[:nq],
-            sg_l,
-            sst_l,
-            sf_l,
-            swk_l,
         )
+        if self.trace_any:
+            self._emit_trace(
+                [
+                    (qid, now + rtt / 2.0, pq)
+                    for qid, now, rtt in zip(qqid.tolist(), qnow.tolist(), rtt_l)
+                ],
+                sg.tolist(),
+                bufs.sub_start[:m].tolist(),
+                bufs.sub_finish[:m].tolist(),
+                bufs.sub_work[:m].tolist(),
+            )
 
         dep = self.dep
         if self.assignments is not None:
@@ -886,9 +915,9 @@ class _Engine:
     def _run_span(self, span_start: int, span_end: int) -> int:
         """Process ``[span_start, span_end)`` one query at a time.
 
-        This is the path that owns failure delegation (select first, check
-        the schedule against the failed set, hand the query to the
-        reference path when it hits) and per-query ``pq_fn`` evaluation;
+        This is the path that owns the failure fall-back (select first,
+        check the schedule against the failed set, hand the query to
+        :meth:`_failover` when it hits) and per-query ``pq_fn`` evaluation;
         it is also what short spans use when the kernel's bulk commit is a
         python loop anyway.  Commit arithmetic here, the kernel's default
         ``commit_batch``, and ``roar_commit_batch`` in ``csrc/sweep.c``
@@ -910,32 +939,18 @@ class _Engine:
         select = self.kernel.select
         arr = self.arr_l
         admission = self.admission
-
-        # aliases refreshed whenever mirrors rebuild (delegation)
-        def local_state():
-            return (
-                self.busy_l,
-                self.spd_l,
-                self.busy,
-                self.spd,
-                self.state,
-                self.srv_fixed_l,
-                self.srv_speed_l,
-                self.any_failed,
-                self.failed_l,
-            )
-
-        (
-            busy_l,
-            spd_l,
-            busy_np,
-            spd_np,
-            state,
-            srv_fixed_l,
-            srv_speed_l,
-            any_failed,
-            failed_l,
-        ) = local_state()
+        trace_any = self.trace_any
+        # the fall-back updates these mirrors in place, so the aliases
+        # stay valid for the whole span
+        busy_l = self.busy_l
+        spd_l = self.spd_l
+        busy_np = self.busy
+        spd_np = self.spd
+        state = self.state
+        srv_fixed_l = self.srv_fixed_l
+        srv_speed_l = self.srv_speed_l
+        any_failed = self.any_failed
+        failed_l = self.failed_l
         last_pq = -1
         entry = None
         prof = self.prof
@@ -980,29 +995,18 @@ class _Engine:
             t0 = perf()
             g_list, pts, start_id = select(state, entry, now)
             sched_wall = perf() - t0
+            if prof is not None:
+                span_sched += sched_wall
 
-            # -- failure window: the reference path owns the fall-back -----
+            # -- failure window: the Section 4.4 fall-back, inline ---------
             if any_failed and any(failed_l[g] for g in g_list):
-                self._delegate(q_i, now, pq)
-                (
-                    busy_l,
-                    spd_l,
-                    busy_np,
-                    spd_np,
-                    state,
-                    srv_fixed_l,
-                    srv_speed_l,
-                    any_failed,
-                    failed_l,
-                ) = local_state()
+                self._failover(q_i, now, pq, entry, g_list, start_id, sched_wall)
                 continue
 
             # -- commit (identical arithmetic to run_query) ----------------
             self.qid_last += 1
             qid = self.qid_last
             self.wall_acc += sched_wall
-            if prof is not None:
-                span_sched += sched_wall
             rtt = sample_rtt()
 
             # widths + reserve (FIFO over sub-queries, first occurrence
@@ -1067,6 +1071,8 @@ class _Engine:
                     mw = wait
                 if service > ms:
                     ms = service
+            if trace_any:
+                self.tsegs.append((qid, arr_t, pq))
 
             # write-through the final per-server values (only the last
             # value per server matters to the next query's estimates)
@@ -1111,48 +1117,174 @@ class _Engine:
             prof.end()
         return span_end
 
-    def _delegate(self, q_i: int, now: float, pq: int) -> None:
-        """Route one failure-window query through the reference path."""
+    def _failover(
+        self,
+        q_i: int,
+        now: float,
+        pq: int,
+        entry: PqEntry,
+        g_list: list[int],
+        start_id: float,
+        sched_wall: float,
+    ) -> None:
+        """Commit one failure-window query with the Section 4.4 fall-back.
+
+        Follows ``Deployment.run_query`` statement for statement from the
+        kernel's decision: the qid and scheduler counters are charged, every
+        planned sub-query is reserved (dead ones included), one rtt is
+        drawn, and the pieces run as a LIFO stack.  A piece on a failed
+        server is re-sent at its detection time through the reference
+        :meth:`~repro.core.frontend.FrontEnd.resolve_failures` (same
+        ``split_failed`` code, same ``frontend.rng`` draws), replacements
+        pushed on top; a :class:`FailureCoverageError` drops the query,
+        leaving the pieces already submitted in place.  Executed pieces go
+        to the chunk buffers like any other sub-query; ``NodeStats
+        .outstanding`` is written on the objects directly, since after a
+        split or a drop it no longer nets to zero.
+        """
         prof = self.prof
         if prof is not None:
-            prof.begin("delegate")
-        self._materialise()
-        pre_lens = None
-        if self.assignments is not None:
-            pre_lens = {
-                name: len(s.trace)
-                for name, s in self.servers.items()
-                if s.keep_trace
-            }
-        record = self.dep.run_query(now, pq)
-        self.delegated += 1
-        self.last_res = None
-        self.st_sync_pending = False
-        self._refresh_values()
-        self.qid_last = self.fe._query_counter
+            prof.begin("failover")
+        dataset = self.dataset
+        fe_fixed = self.fe_fixed
+        alpha = self.alpha
+        om_alpha = self.one_minus_alpha
+        busy_l = self.busy_l
+        spd_l = self.spd_l
+        failed_l = self.failed_l
+        srv_fixed_l = self.srv_fixed_l
+        srv_speed_l = self.srv_speed_l
+        stats_flat = self.stats_flat
+        trace_any = self.trace_any
+        self.qid_last += 1
+        qid = self.qid_last
+        self.wall_acc += sched_wall
+        self.it_acc += entry.iterations
+        self.est_acc += entry.estimates
+        self.qs_acc += 1
+        self.fast_scheduled += 1
+        self.failover += 1
         self.pqs[q_i] = pq
-        if record is None:
+
+        # the reference plan's windows (plan_from_schedule): sub-query i
+        # matches (pts[i], pts[i + 1]] and is addressed to pts[i + 1]
+        pts = [frac(start_id + i / pq) for i in range(-1, pq)]
+        widths = [cw_distance(pts[i], pts[i + 1]) for i in range(pq)]
+        res: dict[int, float] = {}
+        for w, g in zip(widths, g_list):
+            spd_g = spd_l[g]
+            service = fe_fixed + (w * dataset) / (spd_g if spd_g > 1e-9 else 1e-9)
+            base = res.get(g)
+            if base is None:
+                base = busy_l[g]
+            res[g] = (base if base > now else now) + service
+            stats_flat[g].outstanding += 1
+        self.led_qmsg += pq
+
+        rtt = self.network.sample_rtt()
+        half = rtt / 2.0
+        finish = now
+        mw = 0.0
+        ms = 0.0
+        ran: set[int] = set()
+        # queue values of replacement servers outside the plan, as the
+        # reference path's start-of-query sync left them in NodeStats
+        synced: dict[int, float] = {}
+        dropped = False
+        # (sub-query, server, submit time, plan index); planned pieces
+        # carry no SubQuery until one is needed
+        pieces: list[tuple] = [(None, g, now, i) for i, g in enumerate(g_list)]
+        while pieces:
+            sub, g, submit_at, i = pieces.pop()
+            if failed_l[g]:
+                if sub is None:
+                    sub = PlannedSub(
+                        self.nodes_flat[g], pts[i + 1], pts[i], pts[i + 1]
+                    ).to_subquery(qid, i)
+                detect_at = self.dep.detected_at(self.names_flat[g], submit_at)
+                try:
+                    replacements = self.fe.resolve_failures([sub], self.p_store_cur)
+                except FailureCoverageError:
+                    dropped = True
+                    break
+                self.led_qmsg += len(replacements)
+                g_of = self.g_of
+                for rep_sub, rep_node in replacements:
+                    pieces.append((rep_sub, g_of[rep_node.name], detect_at, -1))
+                continue
+            # a planned piece's dedup and locality widths are both its
+            # window width, so this is its work_fraction()
+            work = (widths[i] if sub is None else sub.work_fraction()) * dataset
+            b = busy_l[g]
+            if g not in res:
+                synced.setdefault(g, b)
+            wait = b - submit_at
+            if wait < 0.0:
+                wait = 0.0
+            arr_t = submit_at + half
+            start = arr_t if arr_t > b else b
+            service = srv_fixed_l[g] + work / srv_speed_l[g]
+            f = start + service
+            busy_l[g] = f
+            self.subs.append((g, service, work, f, start))
+            if trace_any:
+                self.tsegs.append((qid, arr_t, 1))
+            st = stats_flat[g]
+            st.outstanding = max(0, st.outstanding - 1)
+            eff = service - fe_fixed
+            if eff > 0.0 and work > 0.0:
+                spd_l[g] = om_alpha * spd_l[g] + alpha * (work / eff)
+            ran.add(g)
+            fh = f + half
+            if fh > finish:
+                finish = fh
+            if wait > mw:
+                mw = wait
+            if service > ms:
+                ms = service
+            self.led_rmsg += 1
+        self.last_res = list(res.items()) + list(synced.items())
+        self.st_sync_pending = True
+
+        # write-through, submitted pieces of a dropped query included
+        busy_np = self.busy
+        spd_np = self.spd
+        tables = self.tables.values()
+        for g in ran.union(res):
+            busy_np[g] = busy_l[g]
+            s_g = spd_l[g]
+            if spd_np[g] != s_g:
+                spd_np[g] = s_g
+                for tb in tables:
+                    tb.Q[g] = tb.wd / s_g
+
+        if dropped:
+            # the dead run is wider than the replication arc: the data is
+            # unavailable until re-replication (Section 4.4)
+            self.log.dropped += 1
             self.dropped += 1
         else:
-            self.completed += 1
-            self.query_ids[q_i] = record.query_id
-            self.finishes[q_i] = record.finish
-            self.latencies[q_i] = record.delay
+            total = finish - now + (sched_wall if self.charge else 0.0)
+            self.qrows.append((q_i, now, pq, qid, rtt, sched_wall, total, mw, ms))
             if self.admission is not None:
-                self.admission.observe(now, record.delay)
-        if pre_lens is not None:
-            # Delegated schedules (plus failure replacements) are only
-            # observable through server traces; only this query ran, so
-            # the executors are exactly the servers whose traces grew.
-            if record is not None:
-                executed = tuple(
+                # the reference path feeds back its QueryRecord's delay
+                self.admission.observe(now, (now + total) - now)
+            self.completed += 1
+        if self.assignments is not None:
+            # the reference contract: the executors are only observable
+            # through server traces, listed in deployment order
+            executed = {self.names_flat[g] for g in ran}
+            self.assignments.append(
+                ()
+                if dropped
+                else tuple(
                     name
-                    for name, before in pre_lens.items()
-                    if len(self.servers[name].trace) > before
+                    for name, server in self.servers.items()
+                    if server.keep_trace and name in executed
                 )
-            else:
-                executed = ()
-            self.assignments.append(executed)
+            )
+        if self.qs_acc >= CHUNK_CAP:
+            self._flush()
         if prof is not None:
             prof.end()
 
@@ -1185,9 +1317,9 @@ def run_queries_fast(
     :class:`Action`.  *kernel* picks the scheduling kernel by registry name
     (or instance); the default ``exact_numpy`` is bit-identical to the
     reference path, others trade exactness or portability for speed (see
-    :mod:`repro.kernels`).  Failure-window queries always delegate to the
-    per-query reference path regardless of kernel, so fall-back semantics
-    stay exact everywhere.
+    :mod:`repro.kernels`).  Failure-window queries run the Section 4.4
+    fall-back inline with every kernel, through the reference failure
+    resolution, so fall-back semantics stay exact everywhere.
 
     *profile* enables the engine-phase profiler: pass ``True`` (or a
     :class:`~repro.obs.profiler.PhaseProfiler` to accumulate across runs);

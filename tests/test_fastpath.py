@@ -220,7 +220,7 @@ class TestDeploymentDifferential:
         slow, fast = _build(n=16), _build(n=16)
         run(slow, False)
         result = run(fast, True)
-        assert result.delegated > 0  # failures exercised the delegation path
+        assert result.failover > 0  # failures exercised the fall-back path
         assert_deployments_identical(slow, fast)
         # the rngs advanced identically (failure splitting draws from them)
         assert slow.frontend.rng.random() == fast.frontend.rng.random()
@@ -430,7 +430,7 @@ class TestActionQueue:
                 Action(k2, t2, lambda now: recover_all(fast, now), "values"),
             ],
         )
-        assert result.delegated > 0  # failure window went through fall-back
+        assert result.failover > 0  # failure window went through fall-back
         assert_deployments_identical(slow, fast)
         assert slow.frontend.rng.random() == fast.frontend.rng.random()
         assert slow.network.rng.random() == fast.network.rng.random()

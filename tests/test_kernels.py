@@ -179,7 +179,7 @@ class TestCompiledKernel:
             dep.fail_node("node-3", mid)
             dep.fail_node("node-7", mid)
             result = dep.run_queries_fast(post, 5, kernel=kernel)
-            assert result.delegated > 0
+            assert result.failover > 0
             return result
 
         self._compare(run)

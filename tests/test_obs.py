@@ -165,8 +165,8 @@ class TestPhaseProfiler:
         # the documented phase vocabulary is the engine's contract; a
         # rename must update both
         assert set(PHASES) == {
-            "arrival_draw", "sweep_commit", "commit", "flush", "listeners",
-            "actions", "delegate", "materialise", "reference",
+            "arrival_draw", "tables", "sweep_commit", "commit", "failover",
+            "flush", "listeners", "actions", "materialise", "reference",
         }
 
 
@@ -187,6 +187,7 @@ def _result_state(dep, result):
         "dropped": result.dropped,
         "fast_scheduled": result.fast_scheduled,
         "delegated": result.delegated,
+        "failover": result.failover,
         "chunk_sizes": list(result.chunk_sizes),
         "actions_applied": result.actions_applied,
         "log_arrival": dep.log.column("arrival").tobytes(),
