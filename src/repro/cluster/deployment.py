@@ -30,6 +30,7 @@ from ..core.node import RoarNode, SubQuery
 from ..core.objects import DataObject, generate_objects
 from ..core.reconfig import ReconfigPhase, Reconfigurator
 from ..core.ring import Ring, RingNode
+from ..core.updates import update_replicas
 from ..sim.energy import EnergyReport, measure_energy
 from ..sim.network import NetworkModel, TrafficLedger
 from ..sim.server import SimServer
@@ -397,6 +398,7 @@ class Deployment:
         kernel=None,
         profile=None,
         admission=None,
+        updates=None,
     ):
         """Run an arrival trace through the batched query path.
 
@@ -415,7 +417,10 @@ class Deployment:
         *admission* installs an admission controller at the arrival seam
         (policy name/spec or instance; the default ``None``/"none" is
         accept-all and bit-identical to the pre-admission engine -- see
-        :mod:`repro.admission` and ``docs/admission.md``).
+        :mod:`repro.admission` and ``docs/admission.md``).  *updates* is
+        the object-update column of ``(query index, time, position)``
+        triples, applied in place by the engine as :meth:`apply_update`
+        would at each slot (see ``docs/architecture.md``).
 
         Example -- three queries, then one scheduled through an explicit
         kernel, against an 8-server testbed::
@@ -443,6 +448,7 @@ class Deployment:
             kernel=kernel,
             profile=profile,
             admission=admission,
+            updates=updates,
         )
 
     # -- updates (Fig 7.4) ------------------------------------------------------------
@@ -450,21 +456,22 @@ class Deployment:
         """One object update: every replica holder pays the update cost.
 
         With replication level ``r = n/p`` an update lands on ~r servers; we
-        model it as r fixed-cost tasks on the nodes covering a replication
-        arc starting at *at* (default: uniform random -- scenario workloads
-        pass Zipf-skewed positions to model hot objects).
+        model it as r fixed-cost tasks on the alive primary-ring nodes
+        clockwise from *at* (default: uniform random -- scenario workloads
+        pass Zipf-skewed positions to model hot objects), chosen by
+        :func:`~repro.core.updates.update_replicas`.
         """
         r = max(1, round(self.n / self.p_store))
         primary = self.rings[0]
         start = self.rng.random() if at is None else at
-        nodes = primary.alive_nodes()
-        if not nodes:
+        nodes = primary.nodes()
+        alive = [nd.alive for nd in nodes]
+        if not any(alive):
             return
-        # the r nodes clockwise from the random point
-        ordered = sorted(nodes, key=lambda nd: (nd.start - start) % 1.0)
         cost_items = self.config.update_cost  # seconds of server time
-        for node in ordered[:r]:
-            server = self.servers[node.name]
+        starts = [nd.start for nd in nodes]
+        for i in update_replicas(starts, start, r, None if all(alive) else alive):
+            server = self.servers[nodes[i].name]
             if not server.failed:
                 server.submit(now, cost_items * server.speed)
         self.ledger.record_update(r)

@@ -1,5 +1,11 @@
 """Object update propagation and rack-aware placement (Sections 4.1, 4.9.2).
 
+:func:`update_replicas` is the replica-choice rule the simulated
+deployment charges an object update to: the ``r`` alive nodes clockwise
+from the object's ring position.  Both the per-query reference path
+(``Deployment.apply_update``) and the batched engine's update column call
+it, so the rule lives in one place.
+
 Three replication transports are modelled, matching the deployment options
 the paper lists for getting an object onto all servers whose range
 intersects its replication arc:
@@ -22,6 +28,7 @@ reproduced.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -29,7 +36,94 @@ from .ids import Arc
 from .objects import DataObject, replication_range
 from .ring import Ring, RingNode
 
-__all__ = ["RackLayout", "PropagationReport", "propagate_update", "propagate_many"]
+__all__ = [
+    "RackLayout",
+    "PropagationReport",
+    "propagate_update",
+    "propagate_many",
+    "update_replicas",
+]
+
+
+def update_replicas(
+    starts: Sequence[float],
+    at: float,
+    r: int,
+    alive: Sequence[bool] | None = None,
+) -> list[int]:
+    """Ring indices of the nodes an update at position *at* lands on.
+
+    *starts* are a ring's sorted node start positions and *alive* their
+    liveness flags (``None``: all alive).  The result is the first
+    ``min(r, alive count)`` alive nodes of
+    ``sorted(alive nodes, key=lambda nd: (nd.start - at) % 1.0)``, in that
+    order -- the clockwise walk from *at*, found by one bisection instead
+    of a sort.  The key is monotone along the clockwise walk, so the walk
+    is the sorted order except where float rounding ties the last node
+    before the wrap with the first node after it (the stable sort then
+    puts the lower ring index first); that case, and positions outside
+    ``[0, 1)``, take the sort itself.
+
+    Example -- four nodes, an update just past the last start wraps::
+
+        >>> update_replicas([0.0, 0.25, 0.5, 0.75], 0.8, 2)
+        [0, 1]
+        >>> update_replicas([0.0, 0.25, 0.5, 0.75], 0.25, 3, [True, False, True, True])
+        [2, 3, 0]
+    """
+    n = len(starts)
+    if not 0.0 <= at < 1.0:
+        return _sorted_replicas(starts, at, r, alive)
+    i0 = bisect_left(starts, at)
+    if alive is None:
+        count = min(r, n)
+        stop = i0 + count
+        if stop <= n:
+            out = list(range(i0, stop))
+        else:
+            out = list(range(i0, n))
+            out.extend(range(stop - n))
+        # the walk reaches the wrap when it takes node n - 1: node 0 is
+        # then taken too, or is the next candidate
+        if (
+            0 < i0 < n
+            and stop >= n
+            and (starts[n - 1] - at) % 1.0 == (starts[0] - at) % 1.0
+        ):
+            return _sorted_replicas(starts, at, r, alive)
+        return out
+    out = []
+    last_pre = -1  # last alive node walked before the wrap
+    first_post = -1  # first alive node walked (or next) after it
+    j = i0
+    for _ in range(n):
+        if j == n:
+            j = 0
+        if alive[j]:
+            if len(out) == r:
+                if j < i0 and first_post < 0:
+                    first_post = j
+                break
+            if j >= i0:
+                last_pre = j
+            elif first_post < 0:
+                first_post = j
+            out.append(j)
+        j += 1
+    if (
+        last_pre >= 0
+        and first_post >= 0
+        and (starts[last_pre] - at) % 1.0 == (starts[first_post] - at) % 1.0
+    ):
+        return _sorted_replicas(starts, at, r, alive)
+    return out
+
+
+def _sorted_replicas(starts, at, r, alive) -> list[int]:
+    """The defining sort of :func:`update_replicas` (its slow path)."""
+    idx = [i for i in range(len(starts)) if alive is None or alive[i]]
+    idx.sort(key=lambda i: (starts[i] - at) % 1.0)
+    return idx[:r]
 
 
 @dataclass

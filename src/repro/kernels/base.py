@@ -269,8 +269,9 @@ class CommitBuffers:
     """Engine-owned out buffers one ``commit_batch`` span writes into.
 
     One instance per partitioning level ``pq`` (sub-query rows are
-    ``cap * pq`` flat, submit order); reused across spans so compiled
-    kernels can cache the raw pointers.  ``rtts`` is an *input*: the
+    ``rows`` flat, submit order, ``cap * pq`` unless the engine reserves
+    room for update rows); reused across spans so compiled kernels can
+    cache the raw pointers.  ``rtts`` is an *input*: the
     engine pre-draws the span's RTT samples in arrival order (the rng
     stream must advance exactly as the per-query path would).  ``res_*``
     report the *last* query's reserve map -- the one piece of front-end
@@ -280,6 +281,7 @@ class CommitBuffers:
     __slots__ = (
         "cap",
         "pq",
+        "rows",
         "rtts",
         "sub_g",
         "sub_service",
@@ -292,23 +294,28 @@ class CommitBuffers:
         "res_g",
         "res_v",
         "res_n",
+        "upd_off",
     )
 
-    def __init__(self, cap: int, pq: int) -> None:
+    def __init__(self, cap: int, pq: int, rows: int | None = None) -> None:
         self.cap = cap
         self.pq = pq
+        self.rows = rows = cap * pq if rows is None else rows
         self.rtts = np.empty(cap, dtype=np.float64)
-        self.sub_g = np.empty(cap * pq, dtype=np.int64)
-        self.sub_service = np.empty(cap * pq, dtype=np.float64)
-        self.sub_work = np.empty(cap * pq, dtype=np.float64)
-        self.sub_finish = np.empty(cap * pq, dtype=np.float64)
-        self.sub_start = np.empty(cap * pq, dtype=np.float64)
+        self.sub_g = np.empty(rows, dtype=np.int64)
+        self.sub_service = np.empty(rows, dtype=np.float64)
+        self.sub_work = np.empty(rows, dtype=np.float64)
+        self.sub_finish = np.empty(rows, dtype=np.float64)
+        self.sub_start = np.empty(rows, dtype=np.float64)
         self.q_total = np.empty(cap, dtype=np.float64)
         self.q_mw = np.empty(cap, dtype=np.float64)
         self.q_ms = np.empty(cap, dtype=np.float64)
         self.res_g = np.empty(pq, dtype=np.int64)
         self.res_v = np.empty(pq, dtype=np.float64)
         self.res_n = np.zeros(1, dtype=np.int64)
+        #: update-row CSR of a span with updates: the rows of the updates
+        #: preceding query k are ``upd_off[k] .. upd_off[k + 1]``.
+        self.upd_off = np.empty(cap + 1, dtype=np.int64)
 
 
 def assignment_at(
@@ -400,6 +407,7 @@ class SweepKernel:
         bufs: CommitBuffers,
         start: int,
         nq: int,
+        n_upd: int = 0,
     ) -> None:
         """Fused sweep+commit over queries ``start .. start + nq``.
 
@@ -411,6 +419,17 @@ class SweepKernel:
         failed server can be scheduled (it never enters the bulk seam
         inside a failure window), a span-constant ``pq`` matching *entry*,
         and ``bufs.rtts[:nq]`` pre-drawn in arrival order.
+
+        *n_upd* > 0 interleaves that many object-update rows with the
+        query rows: the rows of the updates preceding query ``k`` are
+        ``bufs.upd_off[k] .. bufs.upd_off[k + 1]`` (counted in update
+        rows), and sit in the sub-query buffers right before query ``k``'s
+        rows.  The engine fills each such row's ``sub_g``,
+        ``sub_service`` and ``sub_work``, with the update time in
+        ``sub_start``; the kernel runs it as ``SimServer.submit`` would
+        -- ``start = max(time, busy[g])``, ``finish = start + service``,
+        ``busy[g] = finish`` -- and writes ``sub_start``/``sub_finish``
+        back.  Updates observe no speed and reserve nothing.
 
         The engine times this call as one opaque span: its wall is what
         the chunk accounting charges to scheduling and what the phase
@@ -445,6 +464,13 @@ class SweepKernel:
         arr_l = plan.arr_l
         rtt_l = bufs.rtts[:nq].tolist()
         fmod = math.fmod
+        if n_upd:
+            m_all = nq * pq + n_upd
+            upd_off = bufs.upd_off[: nq + 1].tolist()
+            u_g = bufs.sub_g[:m_all].tolist()
+            u_svc = bufs.sub_service[:m_all].tolist()
+            u_work = bufs.sub_work[:m_all].tolist()
+            u_t = bufs.sub_start[:m_all].tolist()
 
         sg: list[int] = []
         ssv: list[float] = []
@@ -462,6 +488,22 @@ class SweepKernel:
         res: dict[int, float] = {}
 
         for k in range(nq):
+            if n_upd:
+                # the updates preceding this query, as SimServer.submit
+                for _ in range(upd_off[k], upd_off[k + 1]):
+                    row = len(sg)
+                    g = u_g[row]
+                    t = u_t[row]
+                    b = busy_l[g]
+                    start_t = t if t > b else b
+                    f = start_t + u_svc[row]
+                    busy_l[g] = f
+                    busy_np[g] = f
+                    sg_append(g)
+                    ssv_append(u_svc[row])
+                    swk_append(u_work[row])
+                    sf_append(f)
+                    sst_append(start_t)
             now = arr_l[start + k]
             g_list, pts, start_id = select(state, entry, now)
             rtt = rtt_l[k]
@@ -542,7 +584,7 @@ class SweepKernel:
             q_mw.append(mw)
             q_ms.append(ms)
 
-        m = nq * pq
+        m = nq * pq + n_upd
         bufs.sub_g[:m] = sg
         bufs.sub_service[:m] = ssv
         bufs.sub_work[:m] = swk

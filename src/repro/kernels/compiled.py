@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 _SOURCE = Path(__file__).with_name("csrc") / "sweep.c"
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 #: memoised library handle / failure reason (one build attempt per process).
 _lib: Optional[ctypes.CDLL] = None
@@ -165,8 +165,9 @@ def load_sweep_library() -> ctypes.CDLL:
         fn.argtypes = [ctypes.c_void_p, ctypes.c_double]  # (&args, now)
         cb = lib.roar_commit_batch
         cb.restype = ctypes.c_int64
-        cb.argtypes = [  # (&args, start, nq)
+        cb.argtypes = [  # (&args, start, nq, n_upd)
             ctypes.c_void_p,
+            ctypes.c_int64,
             ctypes.c_int64,
             ctypes.c_int64,
         ]
@@ -250,6 +251,7 @@ class _CommitArgs(ctypes.Structure):
         ("q_total", ctypes.c_void_p),
         ("q_mw", ctypes.c_void_p),
         ("q_ms", ctypes.c_void_p),
+        ("upd_off", ctypes.c_void_p),
     ]
 
 
@@ -331,8 +333,9 @@ class _CommitBlock:
     Same idea as :class:`_EntryBlock`, one level up: every pointer a whole
     chunk's sweep+commit needs -- including the engine-owned
     :class:`~repro.kernels.base.CommitBuffers` out arrays and the batch's
-    arrival times -- lives in one struct, so each chunk marshals three
-    scalar foreign-call arguments (block pointer, start index, count).
+    arrival times -- lives in one struct, so each chunk marshals four
+    scalar foreign-call arguments (block pointer, start index, count,
+    update-row count).
     """
 
     __slots__ = ("args_ptr", "state_token", "plan_token", "bufs_token", "_hold")
@@ -379,6 +382,7 @@ class _CommitBlock:
             q_total=bufs.q_total.ctypes.data,
             q_mw=bufs.q_mw.ctypes.data,
             q_ms=bufs.q_ms.ctypes.data,
+            upd_off=bufs.upd_off.ctypes.data,
         )
         self._hold = (
             args,
@@ -463,6 +467,7 @@ class CompiledKernel(SweepKernel):
         bufs: CommitBuffers,
         start: int,
         nq: int,
+        n_upd: int = 0,
     ) -> None:
         if state is not self._state:
             self.bind(state)
@@ -475,4 +480,4 @@ class CompiledKernel(SweepKernel):
         ):
             block = _CommitBlock(state, entry, plan, bufs, self._starts_flat)
             entry.ext["compiled_commit"] = block
-        self._commit_fn(block.args_ptr, start, nq)
+        self._commit_fn(block.args_ptr, start, nq, n_upd)

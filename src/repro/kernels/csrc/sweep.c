@@ -244,6 +244,15 @@ int64_t roar_sweep_select(const roar_sweep_args *a, double now)
  * per-query reductions (total delay, max wait, max service) into the
  * engine-owned out buffers consumed by the numpy flush.
  *
+ * Object updates ride in the same row stream (n_upd > 0): the rows of the
+ * updates preceding query k are upd_off[k] .. upd_off[k+1], placed right
+ * before that query's rows.  The engine pre-fills each update row's
+ * server, service and work, with the update time in sub_start; the kernel
+ * runs it as SimServer.submit would (start = max(time, busy), finish =
+ * start + service, busy = finish) and writes start and finish back, so
+ * the next query's sweep sees the update and per-server sums keep the
+ * reference addition order.
+ *
  * Exactness: each operation replicates the python engine's scalar float
  * ops in the same order (see _Engine._run_span in sim/fastpath.py and
  * SweepKernel.commit_batch in kernels/base.py); any divergence from the
@@ -278,10 +287,11 @@ typedef struct {
     double *q_total;               /* [cap] out: finish - now             */
     double *q_mw;                  /* [cap] out: max sub-query wait       */
     double *q_ms;                  /* [cap] out: max sub-query service    */
+    const int64_t *upd_off;        /* [cap+1] update-row CSR per query    */
 } roar_commit_args;
 
 int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
-                          int64_t nq)
+                          int64_t nq, int64_t n_upd)
 {
     const roar_sweep_args *sw = &a->sweep;
     const int64_t pq = sw->pq;
@@ -302,6 +312,19 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
     int64_t k, i, j;
 
     for (k = 0; k < nq; k++) {
+        if (n_upd) {
+            const int64_t n_rows = a->upd_off[k + 1] - a->upd_off[k];
+            for (j = 0; j < n_rows; j++, si++) {
+                const int64_t g = a->sub_g[si];
+                const double t = a->sub_start[si];
+                const double b = busy[g];
+                const double start_t = t > b ? t : b;
+                const double f = start_t + a->sub_service[si];
+                busy[g] = f;
+                a->sub_start[si] = start_t;
+                a->sub_finish[si] = f;
+            }
+        }
         const double now = a->arrivals[start + k];
         const double rtt = a->rtts[k];
         (void)roar_sweep_select(sw, now);
@@ -404,4 +427,4 @@ int64_t roar_commit_batch(const roar_commit_args *a, int64_t start,
 }
 
 /* Build-probe symbol so the loader can verify the ABI revision it built. */
-int64_t roar_sweep_abi_version(void) { return 2; }
+int64_t roar_sweep_abi_version(void) { return 3; }

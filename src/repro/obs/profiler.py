@@ -61,15 +61,17 @@ PROFILE_ENV = "REPRO_PROFILE"
 #: The engine phases, in hot-path order.  ``commit`` is the inline
 #: per-query python commit (short spans, failure windows, per-query
 #: ``pq_fn``); ``failover`` is the Section 4.4 fall-back of a
-#: failure-window query inside it; ``tables`` resolves a cover table for
-#: a new (membership, pq) pair; ``reference`` is the per-query reference
-#: path.
+#: failure-window query inside it; ``updates`` applies or stages the
+#: ``updates=`` column (the staged rows themselves run inside
+#: ``sweep_commit``); ``tables`` resolves a cover table for a new
+#: (membership, pq) pair; ``reference`` is the per-query reference path.
 PHASES = (
     "arrival_draw",
     "tables",
     "sweep_commit",
     "commit",
     "failover",
+    "updates",
     "flush",
     "listeners",
     "actions",

@@ -10,21 +10,24 @@ interval, actuating through the same
 :class:`~repro.control.runner.DeploymentActuator` the closed-loop runner
 uses.
 
-Execution has **exact event-time semantics**: every stimulus (event, churn
-tick, control tick, individual update) is compiled to an
-:class:`~repro.sim.fastpath.Action` bound to the precise query index where
-its timestamp falls, and the batched engine fires it *between those two
-queries* with fully materialised deployment state.  A mid-batch update is
-therefore visible to the very next query -- the old segment-batched runner's
-"updates land up to ``batch_interval`` late" caveat is gone, at full batch
-speed (``UpdateSpec.batch_interval`` is deprecated and ignored; passing it
-warns).  The ``engine="reference"`` backend replays the same action schedule
-through the per-query path, so both engines agree on *when* every stimulus
-lands.  Discrete-event work scheduled on the internal
+Execution has **exact event-time semantics**: every stimulus is bound to the
+precise query index where its timestamp falls and lands *between those two
+queries*.  Events, churn ticks, control ticks and admission ticks compile
+to :class:`~repro.sim.fastpath.Action` callbacks, which the batched engine
+fires with fully materialised deployment state.  Object updates travel as
+the engine's ``updates=`` column of ``(query index, time, position)``
+triples, applied in place between queries -- as long as the run's
+simulation pump is provably idle (no control loop, no ``repartition``
+event).  Otherwise every update instant is also a pump instant that may
+change the stored partitioning level, so updates compile to one
+``"busy"``-scoped action per query index, as other stimuli do.  Either
+way a mid-batch update is visible to the very next query.  The
+``engine="reference"`` backend replays the same schedule through the
+per-query path, so both engines agree on *when* every stimulus lands.
+Discrete-event work scheduled on the internal
 :class:`~repro.sim.engine.Simulation` (reconfiguration node steps, delayed
-elastic grows) is pumped at every action instant, exactly as often as the
-old boundary scheme and at the same timestamps.  Every random choice derives
-from ``Scenario.seed``; two runs of one scenario are identical.
+elastic grows) is pumped at every action instant.  Every random choice
+derives from ``Scenario.seed``; two runs of one scenario are identical.
 """
 
 from __future__ import annotations
@@ -411,8 +414,16 @@ def execute_scenario(
         while t <= horizon:
             add_entry(t, 3, "admission", None)
             t += scenario.admission.tick
-    for t_u, pos in update_stream:
-        add_entry(t_u, -1, "update", (t_u, pos))
+    # Updates pump nothing themselves; as a column they skip the pump
+    # calls an action would make, which is only sound while the pump has
+    # nothing to run: no control loop (delayed grows, repartitions) and no
+    # repartition event (scheduled node steps).
+    update_column = ctl is None and not any(
+        e.action == "repartition" for e in scenario.events
+    )
+    if not update_column:
+        for t_u, pos in update_stream:
+            add_entry(t_u, -1, "update", (t_u, pos))
 
     updates_applied = 0
     current_pq = scenario.pq or scenario.p
@@ -561,8 +572,17 @@ def execute_scenario(
         return Action(index=index, time=t, fn=fire, scope=scope)
 
     # merge sort (time, then old boundary priority), then bind to indices;
-    # consecutive same-index updates coalesce into one action.
+    # consecutive same-index updates coalesce into one action.  The update
+    # column keeps the same order: updates precede same-time entries
+    # (priority -1), which the engines' column/action merge reproduces.
     entries.sort(key=lambda en: (en[0], en[1], en[2]))
+    updates = None
+    if update_column and update_stream:
+        ordered = sorted(update_stream, key=lambda u: u[0])
+        u_idx = _np.searchsorted(
+            arrivals, _np.array([u[0] for u in ordered]), side="right"
+        ).tolist()
+        updates = [(i, t_u, pos) for i, (t_u, pos) in zip(u_idx, ordered)]
     if entries:
         idx_of = _np.searchsorted(
             arrivals, _np.array([en[0] for en in entries]), side="right"
@@ -630,6 +650,7 @@ def execute_scenario(
                 kernel=kernel_obj,
                 record_assignments=record_assignments,
                 admission=admission_controller,
+                updates=updates,
             )
         else:
             batch_result = run_queries_reference(
@@ -639,9 +660,11 @@ def execute_scenario(
                 actions=actions,
                 record_assignments=record_assignments,
                 admission=admission_controller,
+                updates=updates,
             )
             kernel_name = "reference"
         sim.run(until=horizon)  # drain sim work scheduled after the last action
+        updates_applied += batch_result.updates_applied
     except BaseException:
         if archive_writer is not None:
             archive_writer.abort()

@@ -11,7 +11,6 @@ outcome.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 __all__ = [
@@ -118,9 +117,13 @@ class UpdateSpec:
     replica holders of hot arcs pay the update cost and show up as load
     imbalance for the balancer / repartition policies to handle.
 
-    Updates land with **exact event-time semantics**: the runner compiles
-    each one to an action at the precise query index where its timestamp
-    falls, so an update is visible to the very next query on either engine.
+    Updates land with **exact event-time semantics**: the runner binds
+    each one to the precise query index where its timestamp falls and the
+    engine applies it between those two queries -- in place, as a column
+    of the batched engine, unless a control loop or repartition event
+    needs the simulation pumped at every update instant (then each update
+    fires as an action).  An update is visible to the very next query on
+    either engine.
 
     Example -- a hot write stream with mild skew::
 
@@ -137,13 +140,6 @@ class UpdateSpec:
     zipf_s: float = 1.1
     hotspots: int = 16
     jitter: float = 0.01
-    #: **Deprecated.**  Knob of the retired segment-batched runner, where
-    #: updates applied at batch boundaries up to this many seconds late.
-    #: The exact-time action queue replaced it: every update now lands at
-    #: the precise query index where its timestamp falls (see
-    #: :class:`repro.sim.fastpath.Action` and ``docs/architecture.md``).
-    #: Passing a value warns and has no effect; the field will be removed.
-    batch_interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -152,14 +148,6 @@ class UpdateSpec:
             raise ValueError("need at least one hotspot")
         if self.zipf_s < 0:
             raise ValueError("zipf_s must be non-negative")
-        if self.batch_interval is not None:
-            warnings.warn(
-                "UpdateSpec.batch_interval is deprecated and ignored: "
-                "updates land at exact event times through the engine's "
-                "action queue (docs/architecture.md); drop the argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -432,6 +420,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raw = dict(raw)
             if key == "control":
                 raw["policies"] = tuple(raw.get("policies") or ())
+            if key == "updates":
+                # recordings from before the knob's removal carry it (it
+                # never had an effect)
+                raw.pop("batch_interval", None)
             d[key] = cls(**raw)
     if d.get("speeds") is not None:
         d["speeds"] = tuple(d["speeds"])

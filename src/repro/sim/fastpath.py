@@ -64,10 +64,22 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
 * **Exact-time action queue.**  :class:`Action` schedules a callback to run
   *between two specific queries* (before ``arrival_times[index]``).  The
   engine flushes and materialises full object state before each callback --
-  so a mid-batch update, failure, membership change, or control tick sees
+  so a mid-batch failure, membership change, or control tick sees
   precisely the state the per-query reference path would have produced, and
-  is visible to the very next query.  This removes the scenario runner's
-  old "updates land at batch boundaries, up to 1 s late" caveat.
+  is visible to the very next query.
+
+* **The update column.**  Object updates (Section 4.1, Fig 7.4) are a
+  stimulus column, not actions: ``updates=`` holds ``(index, time,
+  position)`` triples, each applied exactly as
+  ``Deployment.apply_update(time, at=position)`` immediately before
+  ``arrival_times[index]``.  The engine finds the replicas with the
+  shared :func:`~repro.core.updates.update_replicas` rule and advances
+  each replica's queue on the ``busy`` mirror, writing one ``(g, service,
+  work, finish, start)`` row per replica into the chunk buffers beside the
+  query rows -- so per-server sums keep the reference addition order and
+  an update-heavy span stays one fused chunk.  On the bulk seam the rows
+  are staged for ``commit_batch`` (CSR offsets per query, cut to the
+  chunk's row budget); the per-query path applies them between queries.
 
 The batched path is only landable because it is *provably the same system*:
 for equal seeds it produces bit-identical per-query server sets, latencies,
@@ -98,6 +110,7 @@ from ..core.adjust import PlannedSub
 from ..core.covertable import CoverTableCache, require_numpy
 from ..core.failures import FailureCoverageError
 from ..core.ids import cw_distance, frac
+from ..core.updates import update_replicas
 from ..kernels.base import (
     CommitBuffers,
     CommitPlan,
@@ -221,6 +234,8 @@ class BatchResult:
     #: (Section 4.4 split or drop), completed or dropped; also counted in
     #: ``fast_scheduled``.
     failover: int = 0
+    #: entries of the ``updates=`` column applied during this run.
+    updates_applied: int = 0
 
     def completed_latencies(self) -> "np.ndarray":
         return self.latencies[~np.isnan(self.latencies)]
@@ -232,6 +247,28 @@ class BatchResult:
     def percentile_latency(self, q: float) -> float:
         done = self.completed_latencies()
         return float(np.percentile(done, q)) if done.size else float("nan")
+
+
+def _update_column(updates) -> tuple[list[int], list[float], list[float]]:
+    """Normalise an ``updates=`` column to parallel (index, time, position)
+    lists, ordered by (index, time) -- stably, so equal pairs keep the
+    caller's order."""
+    rows = [(int(i), float(t), float(x)) for i, t, x in (updates or ())]
+    for row in rows:
+        if row[0] < 0:
+            raise ValueError("update index must be >= 0")
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def _updates_due(idx: list[int], times: list[float], k: int, index, time) -> int:
+    """Advance cursor *k* past every update ordered before an action at
+    (*index*, *time*): a lower index, or the same index at an equal or
+    earlier time (an update precedes a same-time action)."""
+    n = len(idx)
+    while k < n and (idx[k] < index or (idx[k] == index and times[k] <= time)):
+        k += 1
+    return k
 
 
 def _sorted_actions(actions) -> list[Action]:
@@ -259,6 +296,7 @@ class _Engine:
         kernel: SweepKernel,
         profiler=None,
         admission=None,
+        updates=None,
     ) -> None:
         self.dep = deployment
         #: admission controller, or None (the default).  Like the
@@ -287,6 +325,16 @@ class _Engine:
         self.record_assignments = record_assignments
         self.actions = actions
         self.kernel = kernel
+        #: the update column, ordered by (index, time); ``ui`` is the first
+        #: update not applied yet.
+        self.upd_idx, self.upd_t, self.upd_pos = _update_column(updates)
+        self.ui = 0
+        self.updates_applied = 0
+        #: pre-update queue values of servers an update moved after the
+        #: last committed query (qid ``stale_qid``): NodeStats.busy_until
+        #: still holds what that query's sync read.
+        self.stale: dict[int, float] = {}
+        self.stale_qid = -1
 
         if deployment.cover_tables is None:
             deployment.cover_tables = CoverTableCache()
@@ -400,6 +448,21 @@ class _Engine:
         self.tables: dict[int, PqEntry] = {}
         self.any_failed = any(s.failed for s in dep.servers.values())
         self.p_store_cur = dep.p_store
+        if self.upd_idx:
+            # an update charges each replica update_cost seconds of work
+            # through SimServer.submit: work = cost * speed, service =
+            # fixed + work / speed (same float ops, per server)
+            cost = self.cfg.update_cost
+            self.upd_work_l = [cost * v for v in self.srv_speed_l]
+            self.upd_svc_l = [
+                f + w / v
+                for f, w, v in zip(
+                    self.srv_fixed_l, self.upd_work_l, self.srv_speed_l
+                )
+            ]
+            self.upd_work = np.array(self.upd_work_l)
+            self.upd_svc = np.array(self.upd_svc_l)
+            self._refresh_update_rule()
         self.qid_last = fe._query_counter
         self.it_acc = 0
         self.est_acc = 0
@@ -419,6 +482,17 @@ class _Engine:
         self.om[:] = [s.objects_matched for s in self.servers_flat]
         self.tasks[:] = [s.tasks_run for s in self.servers_flat]
         self.p_store_cur = self.dep.p_store
+        if self.upd_idx:
+            self._refresh_update_rule()
+
+    def _refresh_update_rule(self) -> None:
+        """Re-derive what the replica rule reads: r, ring-0 liveness."""
+        self.upd_r = max(1, round(len(self.nodes_flat) / self.p_store_cur))
+        alive = [nd.alive for nd in self.nodes_flat[: self.ring_hi[0]]]
+        #: ring-0 liveness flags, None while every node is alive
+        self.alive0 = None if all(alive) else alive
+        #: no alive primary node: an update is a no-op (not even charged)
+        self.upd_noop = not any(alive)
 
     def _refresh_values(self) -> None:
         self._refresh_busy()
@@ -443,12 +517,15 @@ class _Engine:
         #: trace segments ``(qid, arrival, n_rows)`` covering ``subs`` in
         #: order; only kept when some server records a trace.
         self.tsegs: list[tuple] = []
+        #: ``[lo, hi)`` ranges of ``subs`` holding update rows (they count
+        #: as server tasks, not as NodeStats completions).
+        self.upd_rows: list[tuple[int, int]] = []
 
     def _flush(self) -> None:
         """Account the buffered chunk with array reductions + one record pass."""
         # qs_acc counts every query committed since the last flush, dropped
-        # ones included, so it is zero exactly when nothing is pending
-        if self.qs_acc == 0:
+        # ones included; with no query pending, update rows may still be
+        if self.qs_acc == 0 and not self.subs:
             return
         prof = self.prof
         if prof is not None:
@@ -463,9 +540,14 @@ class _Engine:
             np.add.at(self.om, sg, np.array(swk_t))
             counts = np.bincount(sg, minlength=len(self.tasks))
             self.tasks += counts
-            self.cc += counts
-            # per-server finishes are monotone, so last-in-order == max
-            np.maximum.at(self.ls, sg, np.array(sf_t))
+            sf = np.array(sf_t)
+            if self.upd_rows:
+                qmask = np.ones(len(sg), dtype=bool)
+                for lo, hi in self.upd_rows:
+                    qmask[lo:hi] = False
+                self._account_queries(sg[qmask], sf[qmask])
+            else:
+                self._account_queries(sg, sf, counts)
             self.touched[sg] = True
 
         nq = len(self.qrows)
@@ -518,6 +600,14 @@ class _Engine:
         self._reset_buffers()
         if prof is not None:
             prof.end()
+
+    def _account_queries(self, sg, sf, counts=None) -> None:
+        """NodeStats completions + last_seen of a chunk's query rows."""
+        self.cc += (
+            counts if counts is not None else np.bincount(sg, minlength=len(self.cc))
+        )
+        # per-server finishes are monotone, so last-in-order == max
+        np.maximum.at(self.ls, sg, sf)
 
     def _emit_records(
         self,
@@ -637,6 +727,11 @@ class _Engine:
         if self.st_sync_pending and self.last_res is not None:
             for g, st in enumerate(self.stats_flat):
                 st.busy_until = self.busy_l[g]
+            if self.stale_qid == self.qid_last:
+                # updates after that query moved these queues; its sync
+                # read them before
+                for g, val in self.stale.items():
+                    self.stats_flat[g].busy_until = val
             for g, val in self.last_res:
                 self.stats_flat[g].busy_until = val
             self.st_sync_pending = False
@@ -701,10 +796,15 @@ class _Engine:
         n_act = len(acts)
         ai = 0
         pq_callable = callable(self.pq_fn)
+        upd_idx, upd_t = self.upd_idx, self.upd_t
         pos = 0
         while pos < n_q:
             while ai < n_act and acts[ai].index <= pos:
-                self._fire(acts[ai])
+                act = acts[ai]
+                self._apply_updates(
+                    _updates_due(upd_idx, upd_t, self.ui, act.index, act.time)
+                )
+                self._fire(act)
                 ai += 1
             end = n_q if ai >= n_act else min(n_q, acts[ai].index)
             if (
@@ -717,8 +817,13 @@ class _Engine:
             else:
                 pos = self._run_span(pos, end)
         while ai < n_act:
-            self._fire(acts[ai])
+            act = acts[ai]
+            self._apply_updates(
+                _updates_due(upd_idx, upd_t, self.ui, act.index, act.time)
+            )
+            self._fire(act)
             ai += 1
+        self._apply_updates(len(upd_idx))
         self._materialise()
 
         wall = time.perf_counter() - wall_start
@@ -741,20 +846,156 @@ class _Engine:
             profile=self.prof,
             shed=self.shed_n,
             failover=self.failover,
+            updates_applied=self.updates_applied,
         )
+
+    # -- updates -----------------------------------------------------------
+    def _replicas(self, at: float) -> list[int]:
+        """Servers an update at ring position *at* runs on (ring 0 comes
+        first in the global order, so its ring indices are global)."""
+        reps = update_replicas(self.ring_starts[0], at, self.upd_r, self.alive0)
+        if self.any_failed:
+            failed_l = self.failed_l
+            reps = [g for g in reps if not failed_l[g]]
+        return reps
+
+    def _apply_updates(self, stop: int) -> None:
+        """Apply column entries ``ui .. stop`` one by one into the chunk
+        buffers, exactly as ``Deployment.apply_update`` submits them.
+
+        The per-query path and the gaps between spans use this; the bulk
+        seam stages its updates into the kernel's buffers instead
+        (:meth:`_stage_updates`).
+        """
+        k = self.ui
+        if k >= stop:
+            return
+        prof = self.prof
+        if prof is not None:
+            prof.begin("updates")
+        if self.stale_qid != self.qid_last:
+            self.stale = {}
+            self.stale_qid = self.qid_last
+        stale_set = self.stale.setdefault
+        busy_l = self.busy_l
+        busy_np = self.busy
+        svc_l = self.upd_svc_l
+        work_l = self.upd_work_l
+        subs = self.subs
+        for k in range(k, stop):
+            self.updates_applied += 1
+            if self.upd_noop:
+                continue
+            t = self.upd_t[k]
+            lo = len(subs)
+            for g in self._replicas(self.upd_pos[k]):
+                b = busy_l[g]
+                stale_set(g, b)
+                start = t if t > b else b
+                f = start + svc_l[g]
+                busy_l[g] = f
+                busy_np[g] = f
+                subs.append((g, svc_l[g], work_l[g], f, start))
+            if len(subs) > lo:
+                self.upd_rows.append((lo, len(subs)))
+                if self.trace_any:
+                    self.tsegs.append((-1, t, len(subs) - lo))
+            self.ledger.record_update(self.upd_r)
+        self.ui = stop
+        if prof is not None:
+            prof.end()
+        if len(subs) >= CHUNK_CAP * self.cfg.p:
+            self._flush()
+
+    def _stage_updates(self, pos: int, nq: int, pq: int, bufs: CommitBuffers):
+        """Stage the updates of the bulk chunk starting at query *pos*.
+
+        The chunk takes every pending update that precedes one of its
+        queries.  Update rows share the buffers' ``rows`` budget with the
+        query rows, so the chunk is cut short when they would overflow it.
+        Writes each replica's ``(g, service, work)`` and the update time
+        into the sub-query buffers at the rows the kernel will fill (the
+        kernel replaces the time with the start), and the per-query CSR
+        offsets into ``bufs.upd_off``.  Returns ``(nq, staged, rows)``:
+        *staged* lists ``(query offset, time, replicas)`` per update of the
+        chunk (``None`` when there is none), *rows* the buffer positions of
+        their rows (``None`` when there is none).
+        """
+        idx_l = self.upd_idx
+        k = self.ui
+        n_upd = len(idx_l)
+        if k >= n_upd or idx_l[k] >= pos + nq:
+            return nq, None, None
+        nq_max = nq
+        budget = bufs.rows
+        t_l = self.upd_t
+        pos_l = self.upd_pos
+        noop = self.upd_noop
+        staged: list[tuple[int, float, list[int]]] = []
+        g_flat: list[int] = []
+        while k < n_upd and idx_l[k] < pos + nq:
+            q = idx_l[k] - pos
+            reps = [] if noop else self._replicas(pos_l[k])
+            if (q + 1) * pq + len(g_flat) + len(reps) > budget:
+                # cut before query q: updates preceding a cut-off query
+                # move to the next chunk with it
+                nq = min(q, (budget - len(g_flat)) // pq)
+                while staged and staged[-1][0] >= nq:
+                    del g_flat[len(g_flat) - len(staged.pop()[2]) :]
+                break
+            staged.append((q, t_l[k], reps))
+            g_flat.extend(reps)
+            k += 1
+        else:
+            nq = min(nq, (budget - len(g_flat)) // pq)
+        rows = len(g_flat)
+        if nq == 0:
+            # the first query's updates alone overflow the budget: apply
+            # them one by one, flushed ahead of the chunk's bulk rows
+            self.busy_l = self.busy.tolist()
+            self._apply_updates(_updates_due(idx_l, t_l, self.ui, pos, math.inf))
+            self._flush()
+            return self._stage_updates(pos, nq_max, pq, bufs)
+        self.ui += len(staged)
+        self.updates_applied += len(staged)
+        if not noop:
+            self.ledger.record_update(self.upd_r * len(staged))
+        if not rows:
+            return nq, staged, None
+        lens = np.array([len(u[2]) for u in staged], dtype=np.intp)
+        row_q = np.repeat(np.array([u[0] for u in staged], dtype=np.intp), lens)
+        g_all = np.array(g_flat, dtype=np.intp)
+        bufs.upd_off[0] = 0
+        np.cumsum(np.bincount(row_q, minlength=nq), out=bufs.upd_off[1 : nq + 1])
+        at = np.arange(rows) + row_q * pq
+        bufs.sub_g[at] = g_all
+        bufs.sub_service[at] = self.upd_svc[g_all]
+        bufs.sub_work[at] = self.upd_work[g_all]
+        bufs.sub_start[at] = np.repeat(
+            np.array([u[1] for u in staged], dtype=np.float64), lens
+        )
+        return nq, staged, at
 
     # -- the bulk seam -----------------------------------------------------
     def _bufs_for(self, pq: int) -> CommitBuffers:
         bufs = self.commit_bufs.get(pq)
         if bufs is None:
-            bufs = CommitBuffers(self.bulk_cap, pq)
+            # update rows share the CHUNK_CAP * pq row budget (a chunk is
+            # cut short when they would overflow it); a run with updates
+            # gets twice its query rows, within that budget, so update-
+            # heavy chunks still hold many queries
+            rows = None
+            if self.upd_idx:
+                rows = min(CHUNK_CAP, 2 * self.bulk_cap) * pq
+            bufs = CommitBuffers(self.bulk_cap, pq, rows)
             self.commit_bufs[pq] = bufs
         return bufs
 
     def _run_span_bulk(self, span_start: int, span_end: int) -> int:
         """Process ``[span_start, span_end)`` through the fused seam.
 
-        Chunks of up to :data:`CHUNK_CAP` queries go to the kernel's
+        Chunks of up to :data:`CHUNK_CAP` queries, with the updates that
+        precede them (:meth:`_stage_updates`), go to the kernel's
         ``commit_batch`` (the span is failure-free and pq-constant by the
         caller's checks), which advances the live mirror arrays in place;
         each chunk is flushed straight from the bulk out buffers.  After
@@ -778,32 +1019,46 @@ class _Engine:
         perf_ns = time.perf_counter_ns
         prof = self.prof
         cap = bufs.cap
+        stage = self._stage_updates
         pos = span_start
         while pos < span_end:
             nq = min(span_end - pos, cap)
             if prof is None:
+                nq, staged, at = stage(pos, nq, pq, bufs)
+                n_rows = 0 if at is None else len(at)
                 # pre-draw the span's RTTs in arrival order: the rng stream
                 # must advance exactly as the per-query path would
                 rtt_l = [sample_rtt() for _ in range(nq)]
                 bufs.rtts[:nq] = rtt_l
                 t0 = perf()
-                commit(self.state, entry, plan, bufs, pos, nq)
+                commit(self.state, entry, plan, bufs, pos, nq, n_rows)
                 chunk_wall = perf() - t0
-                self._flush_bulk(pos, nq, pq, rtt_l, chunk_wall, entry, bufs)
+                self._flush_bulk(
+                    pos, nq, pq, rtt_l, chunk_wall, entry, bufs, staged, at
+                )
             else:
                 # same statements bracketed by clock reads only -- the rng
                 # stream and the float sequence are untouched
+                if self.ui < len(self.upd_idx):
+                    prof.begin("updates")
+                    nq, staged, at = stage(pos, nq, pq, bufs)
+                    prof.end()
+                else:
+                    staged = at = None
+                n_rows = 0 if at is None else len(at)
                 c0 = perf_ns()
                 rtt_l = [sample_rtt() for _ in range(nq)]
                 draw_ns = perf_ns() - c0
                 prof.add_ns("arrival_draw", draw_ns)
                 bufs.rtts[:nq] = rtt_l
                 t0 = perf()
-                commit(self.state, entry, plan, bufs, pos, nq)
+                commit(self.state, entry, plan, bufs, pos, nq, n_rows)
                 chunk_wall = perf() - t0
                 prof.add_s("sweep_commit", chunk_wall)
                 prof.begin("flush")
-                self._flush_bulk(pos, nq, pq, rtt_l, chunk_wall, entry, bufs)
+                self._flush_bulk(
+                    pos, nq, pq, rtt_l, chunk_wall, entry, bufs, staged, at
+                )
                 flush_ns = prof.end()
                 prof.record_chunk(
                     pos, nq, c0, draw_ns, int(chunk_wall * 1e9), flush_ns
@@ -833,6 +1088,8 @@ class _Engine:
         chunk_wall: float,
         entry: PqEntry,
         bufs: CommitBuffers,
+        staged,
+        at,
     ) -> None:
         """Account one bulk chunk straight from the kernel's out buffers.
 
@@ -841,16 +1098,26 @@ class _Engine:
         order.  Per-query ``scheduling_delay`` is the chunk's kernel wall
         time amortised over its queries (the fused call does not observe
         per-query boundaries; with ``charge_scheduling`` the amortised
-        value is what lands in the latency).
+        value is what lands in the latency).  *staged* and *at* are the
+        chunk's updates and their row positions
+        (:meth:`_stage_updates`).
         """
         m = nq * pq
+        if at is not None:
+            m += len(at)
         sg = bufs.sub_g[:m]
         np.add.at(self.bt, sg, bufs.sub_service[:m])
         np.add.at(self.om, sg, bufs.sub_work[:m])
         counts = np.bincount(sg, minlength=len(self.tasks))
         self.tasks += counts
-        self.cc += counts
-        np.maximum.at(self.ls, sg, bufs.sub_finish[:m])
+        if at is None:
+            self._account_queries(sg, bufs.sub_finish[:m], counts)
+            sg_q = sg
+        else:
+            qmask = np.ones(m, dtype=bool)
+            qmask[at] = False
+            sg_q = sg[qmask]
+            self._account_queries(sg_q, bufs.sub_finish[:m][qmask])
         self.touched[sg] = True
 
         qnow = self.arrivals[pos : pos + nq]
@@ -880,11 +1147,19 @@ class _Engine:
             bufs.q_ms[:nq],
         )
         if self.trace_any:
+            # each update's rows precede its query's, in column order
+            upd_segs = [(q, (-1, t, len(reps))) for q, t, reps in staged or () if reps]
+            segs = []
+            u = 0
+            for k, (qid, now, rtt) in enumerate(
+                zip(qqid.tolist(), qnow.tolist(), rtt_l)
+            ):
+                while u < len(upd_segs) and upd_segs[u][0] == k:
+                    segs.append(upd_segs[u][1])
+                    u += 1
+                segs.append((qid, now + rtt / 2.0, pq))
             self._emit_trace(
-                [
-                    (qid, now + rtt / 2.0, pq)
-                    for qid, now, rtt in zip(qqid.tolist(), qnow.tolist(), rtt_l)
-                ],
+                segs,
                 sg.tolist(),
                 bufs.sub_start[:m].tolist(),
                 bufs.sub_finish[:m].tolist(),
@@ -896,7 +1171,7 @@ class _Engine:
             names = self.names_flat
             # sub rows are in submit (LIFO) order; assignments record the
             # selection (point) order, so reverse each query's row
-            for row in bufs.sub_g[:m].reshape(nq, pq)[:, ::-1].tolist():
+            for row in sg_q.reshape(nq, pq)[:, ::-1].tolist():
                 self.assignments.append(tuple(names[g] for g in row))
 
         fe = self.fe
@@ -955,10 +1230,20 @@ class _Engine:
         entry = None
         prof = self.prof
         span_sched = 0.0
+        upd_idx = self.upd_idx
+        upd_t = self.upd_t
+        n_upd = len(upd_idx)
+        # index of the next query an update precedes
+        next_u = upd_idx[self.ui] if self.ui < n_upd else span_end
         if prof is not None:
             prof.begin("commit")
 
         for q_i in range(span_start, span_end):
+            if q_i >= next_u:
+                self._apply_updates(
+                    _updates_due(upd_idx, upd_t, self.ui, q_i, math.inf)
+                )
+                next_u = upd_idx[self.ui] if self.ui < n_upd else span_end
             now = arr[q_i]
             if pq_callable:
                 pq = pq_fn(now)
@@ -1308,6 +1593,7 @@ def run_queries_fast(
     kernel: SweepKernel | str | None = None,
     profile=None,
     admission=None,
+    updates=None,
 ) -> BatchResult:
     """Run a whole arrival trace through the batched path.
 
@@ -1334,6 +1620,18 @@ def run_queries_fast(
     resolve to ``None`` before the engine sees them, so the default run
     is bit-identical to the pre-admission engine; an active policy
     forces the per-query path (the bulk seam cannot shed mid-chunk).
+
+    *updates* is the object-update column: ``(index, time, position)``
+    triples, each applied exactly as ``Deployment.apply_update(time,
+    at=position)`` immediately before ``arrival_times[index]`` (an index
+    of ``len(arrival_times)`` or beyond applies after the last query).
+    Updates with one index apply in time order; against an action of the
+    same index an update goes first when its time is not later than the
+    action's.  The engine applies them in place -- inside the bulk
+    chunk, or between queries on the per-query path -- so they cost no
+    action, flush or materialise.  The column does not pump anything:
+    pass updates as actions instead when each update instant must also
+    run other work (see ``repro.scenarios.runner``).
     """
     require_numpy()
     _check_frontend(deployment)
@@ -1352,6 +1650,7 @@ def run_queries_fast(
         get_kernel(kernel),
         profiler=prof,
         admission=adm,
+        updates=updates,
     )
     if engine.multi_lane:
         # Multi-lane SimServers fall outside the closed-form queue mirror;
@@ -1366,6 +1665,7 @@ def run_queries_fast(
             actions=acts,
             profile=prof,
             admission=adm,
+            updates=updates,
         )
     return engine.run()
 
@@ -1378,6 +1678,7 @@ def run_queries_reference(
     actions: Sequence[Action] | None = None,
     profile=None,
     admission=None,
+    updates=None,
 ) -> BatchResult:
     """The per-query reference path with the same exact-time action queue.
 
@@ -1388,7 +1689,9 @@ def run_queries_reference(
     in a single ``reference`` phase (plus ``actions``).  *admission* is
     the same knob too, with the same backlog/delay signals (the busiest
     server's queued seconds, completed delays by arrival), so shed
-    decisions are engine-independent.
+    decisions are engine-independent.  *updates* is the same column too,
+    applied through ``Deployment.apply_update`` at each update's slot:
+    this is the oracle the batched engine's in-place updates match.
     """
     require_numpy()
     from ..admission.registry import resolve_admission
@@ -1414,8 +1717,24 @@ def run_queries_reference(
     actions_applied = 0
     ai = 0
     arr_l = arrivals.tolist()
+    upd_idx, upd_t, upd_pos = _update_column(updates)
+    ui = 0
+
+    def apply_updates(stop: int) -> int:
+        if ui >= stop:
+            return ui
+        u0 = perf_ns()
+        for k in range(ui, stop):
+            deployment.apply_update(upd_t[k], at=upd_pos[k])
+        if prof is not None:
+            prof.add_ns("updates", perf_ns() - u0)
+        return stop
+
     for q_i in range(n_q):
         while ai < len(acts) and acts[ai].index <= q_i:
+            ui = apply_updates(
+                _updates_due(upd_idx, upd_t, ui, acts[ai].index, acts[ai].time)
+            )
             if prof is None:
                 new_pq = acts[ai].fn(acts[ai].time)
             else:
@@ -1426,6 +1745,7 @@ def run_queries_reference(
                 pq_override = int(new_pq)
             actions_applied += 1
             ai += 1
+        ui = apply_updates(_updates_due(upd_idx, upd_t, ui, q_i, math.inf))
         now = arr_l[q_i]
         if callable(pq_fn):
             pq = pq_fn(now)
@@ -1473,6 +1793,9 @@ def run_queries_reference(
                 executed = ()
             assignments.append(executed)
     while ai < len(acts):
+        ui = apply_updates(
+            _updates_due(upd_idx, upd_t, ui, acts[ai].index, acts[ai].time)
+        )
         if prof is None:
             new_pq = acts[ai].fn(acts[ai].time)
         else:
@@ -1483,6 +1806,7 @@ def run_queries_reference(
             pq_override = int(new_pq)
         actions_applied += 1
         ai += 1
+    ui = apply_updates(len(upd_idx))
     wall = time.perf_counter() - wall_start
     if prof is not None:
         prof.add_wall(wall)
@@ -1506,4 +1830,5 @@ def run_queries_reference(
         actions_applied=actions_applied,
         profile=prof,
         shed=shed,
+        updates_applied=ui,
     )

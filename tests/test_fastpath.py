@@ -529,15 +529,26 @@ class TestChunkedAccounting:
         idxs=st.lists(
             st.integers(min_value=0, max_value=119), min_size=1, max_size=4
         ),
+        upds=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=121),
+                st.sampled_from([-1.0, 0.0, 0.5]),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            max_size=30,
+        ),
     )
-    def test_random_action_schedules_differential(self, seed, n, idxs):
+    def test_random_action_schedules_differential(self, seed, n, idxs, upds):
         arrivals = PoissonArrivals(25.0, seed=seed).times(120)
         kinds = ["update", "fail", "recover"]
         slow, fast = _build(n=n, seed=seed + 1), _build(n=n, seed=seed + 1)
         name = sorted(slow.servers)[seed % n]
 
+        def action_time(i):
+            return arrivals[min(i, len(arrivals)) - 1] if i else 0.0
+
         def mk(dep, i, kind):
-            t = arrivals[i - 1] if i else 0.0
+            t = action_time(i)
             if kind == "update":
                 return (
                     lambda now: dep.apply_update(now, at=(seed % 97) / 97.0)
@@ -551,15 +562,28 @@ class TestChunkedAccounting:
                 else None
             ), "values", t
 
+        # the update column: each entry lands before, on, or after the
+        # time of an action that shares its index
+        column = [
+            (i, action_time(i) + dt * 1e-3, pos) for i, dt, pos in upds
+        ]
         stimuli, fast_actions = [], []
         for j, i in enumerate(sorted(idxs)):
             kind = kinds[(seed + j) % 3]
             fn_s, _, t = mk(slow, i, kind)
-            stimuli.append((i, lambda fn=fn_s, tt=t: fn(tt)))
+            stimuli.append((i, t, 1, lambda fn=fn_s, tt=t: fn(tt)))
             fn_f, scope, t = mk(fast, i, kind)
             fast_actions.append(Action(i, t, fn_f, scope))
-        _interleaved_reference(slow, arrivals, 4, stimuli)
-        fast.run_queries_fast(arrivals, 4, actions=fast_actions)
+        for i, t, pos in column:
+            stimuli.append(
+                (i, t, 0, lambda t=t, pos=pos: slow.apply_update(t, at=pos))
+            )
+        # (index, time, update-first) is the engine's merge order
+        stimuli.sort(key=lambda s: s[:3])
+        _interleaved_reference(
+            slow, arrivals, 4, [(i, fn) for i, _, _, fn in stimuli]
+        )
+        fast.run_queries_fast(arrivals, 4, actions=fast_actions, updates=column)
         assert_deployments_identical(slow, fast)
 
 

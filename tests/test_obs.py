@@ -166,7 +166,8 @@ class TestPhaseProfiler:
         # rename must update both
         assert set(PHASES) == {
             "arrival_draw", "tables", "sweep_commit", "commit", "failover",
-            "flush", "listeners", "actions", "materialise", "reference",
+            "updates", "flush", "listeners", "actions", "materialise",
+            "reference",
         }
 
 

@@ -76,26 +76,19 @@ class TestSpecs:
         assert [s.seed for s in grid] == [0, 1, 2]
         assert grid[0].workload == base.workload
 
-    def test_batch_interval_deprecated_and_ignored(self):
-        from repro.scenarios.spec import UpdateSpec
+    def test_from_dict_reads_recordings_with_batch_interval(self):
+        # recordings written before UpdateSpec.batch_interval was removed
+        # carry it as null in their updates dict
+        from repro.scenarios.spec import (
+            UpdateSpec,
+            scenario_from_dict,
+            scenario_to_dict,
+        )
 
-        with pytest.warns(DeprecationWarning, match="batch_interval"):
-            spec = UpdateSpec(rate=10.0, batch_interval=1.0)
-        assert spec.rate == 10.0  # construction still succeeds (compat)
-        # the replacement is the exact-time action queue: not passing the
-        # knob is silent, and nothing downstream reads it
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            UpdateSpec(rate=10.0)
-
-    def test_builtin_scenarios_carry_no_batch_interval(self):
-        from repro.scenarios.matrix import builtin_scenarios
-
-        for scenario in builtin_scenarios(n_servers=8, duration=5.0, p=4):
-            if scenario.updates is not None:
-                assert scenario.updates.batch_interval is None
+        scenario = small(updates=UpdateSpec(rate=10.0, zipf_s=1.2))
+        data = scenario_to_dict(scenario)
+        data["updates"]["batch_interval"] = None
+        assert scenario_from_dict(data) == scenario
 
 
 class TestWorkloads:
