@@ -4,11 +4,13 @@ An :class:`AdmissionPolicy` sits at the front of the engine's arrival
 loop: for every query it sees the arrival time and the busiest-server
 backlog (seconds of queued work, from the engine's queue mirrors) and
 either admits the query or sheds it with a reason.  Completed-query
-delays flow back in through :meth:`AdmissionPolicy.observe` -- the same
-arrival-ordered sliding window the control plane's
-:class:`~repro.control.metrics.MetricsCollector` keeps -- and the
-exact-time action queue drives :meth:`AdmissionPolicy.tick` at scheduled
-query indices, where adaptive policies (AIMD) adjust their rate.
+delays flow back in through :meth:`AdmissionPolicy.observe` into an
+arrival-ordered window (an incremental
+:class:`~repro.control.metrics.SortedWindow`, so the per-arrival p99
+costs O(log W)), and the exact-time action queue drives
+:meth:`AdmissionPolicy.tick` at scheduled query indices, where adaptive
+policies (AIMD) adjust their rate.  Consecutive ``queue-cap`` sheds are
+booked as one block by :meth:`AdmissionPolicy.shed_run`.
 
 **Queue-cap sizing.**  Every non-passthrough policy bounds the backlog a
 query may be admitted into: ``queue_cap = cap_multiple * slo`` seconds.
@@ -31,6 +33,9 @@ Example::
     'queue-cap'
     >>> (pol.accepted, pol.shed)
     (1, 1)
+    >>> pol.shed_run(2, times=[0.2, 0.3], backlogs=[4.9, 4.8])
+    >>> (pol.accepted, pol.shed, pol.log.n_sheds)
+    (1, 3, 3)
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..control.metrics import SlidingWindow
+from ..control.metrics import SortedWindow
 from .records import ShedLog
 
 __all__ = ["AdmissionPolicy"]
@@ -74,7 +79,7 @@ class AdmissionPolicy:
         self.cap_multiple = float(cap_multiple)
         #: admission ceiling in seconds of busiest-server backlog.
         self.queue_cap = self.cap_multiple * self.slo
-        self.window = SlidingWindow(float(window))
+        self.window = SortedWindow(float(window))
         self.log = ShedLog()
         self.accepted = 0
         self.shed = 0
@@ -104,6 +109,30 @@ class AdmissionPolicy:
         self.shed += 1
         self.log.record_shed(now, query_index, reason, backlog, self.signal(now))
         return reason
+
+    def shed_run(self, first_index: int, times, backlogs) -> None:
+        """Shed ``len(times)`` consecutive arrivals on the queue cap.
+
+        The bookkeeping of one :meth:`admit` call per arrival
+        ``first_index, first_index + 1, ...`` whose *backlogs* (parallel to
+        *times*, each at or over :attr:`queue_cap`) shed it with reason
+        ``queue-cap`` -- the backlog high-water mark, the shed count, and
+        one :meth:`signal` call per arrival in order (AIMD's token accrual
+        is sequential) -- written to the log as one block.  The batched
+        engine calls it for the arrivals that follow a ``queue-cap`` shed
+        while the busiest-server queue stays over the cap; a policy that
+        overrides :meth:`admit` must keep the two consistent.
+        """
+        n = len(times)
+        if n == 0:
+            return
+        hwm = max(backlogs)
+        if hwm > self._backlog_hwm:
+            self._backlog_hwm = hwm
+        self.shed += n
+        signal = self.signal
+        signals = [signal(t) for t in times]
+        self.log.record_sheds(first_index, times, "queue-cap", backlogs, signals)
 
     def observe(self, now: float, delay: float) -> None:
         """Feed one completed query's delay back (arrival-ordered)."""

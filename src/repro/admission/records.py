@@ -1,6 +1,7 @@
 """Columnar admission telemetry: who was shed, when, and why.
 
-Every shed decision appends one row to a :class:`ShedLog` -- the arrival
+Every shed decision appends one row to a :class:`ShedLog` (a run of
+``queue-cap`` sheds appends its rows as one block) -- the arrival
 time, the **exact query index** in the arrival stream, the interned shed
 reason, and the two signals the policy saw (busiest-server backlog and the
 policy's own gating signal).  Controller ticks append one ``adm_*`` row
@@ -35,6 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - the image bakes numpy in
+    np = None  # type: ignore[assignment]
 
 __all__ = [
     "ShedLog",
@@ -138,6 +144,27 @@ class ShedLog:
         self._shed_reason.append(self._intern(reason))
         self._shed_backlog.append(float(backlog))
         self._shed_signal.append(float(signal))
+
+    def record_sheds(
+        self,
+        first_index: int,
+        times,
+        reason: str,
+        backlogs,
+        signals,
+    ) -> None:
+        """Append one row per shed of consecutive arrival-stream indices.
+
+        Row ``k`` is the shed of query ``first_index + k`` at ``times[k]``
+        with ``backlogs[k]`` and ``signals[k]``, all for *reason*: the same
+        rows as that many :meth:`record_shed` calls, written as one block.
+        """
+        n = len(times)
+        self._shed_time.extend(times)
+        self._shed_query_index.extend(np.arange(first_index, first_index + n))
+        self._shed_reason.extend(np.full(n, self._intern(reason)))
+        self._shed_backlog.extend(backlogs)
+        self._shed_signal.extend(signals)
 
     def record_tick(
         self,

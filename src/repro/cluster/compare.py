@@ -23,7 +23,7 @@ from ..core.ring import Ring, RingNode
 from ..core.scheduler import schedule_heap, schedule_naive, schedule_random
 from ..rendezvous import PTN, RoarAlgorithm, ServerInfo, SlidingWindow
 from ..sim.server import SimServer
-from ..sim.tracing import DelayLog, QueryRecord
+from ..telemetry.records import DelayLog, QueryRecord
 from ..sim.workload import PoissonArrivals
 
 __all__ = ["ComparisonConfig", "ComparisonResult", "run_comparison", "heterogeneous_speeds"]

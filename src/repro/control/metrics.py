@@ -24,11 +24,16 @@ All window statistics are bit-identical to the historic deque-backed
 implementation: means keep python left-to-right summation, percentiles run
 the exact interpolation arithmetic via
 :func:`~repro.telemetry.columns.array_percentile` (``np.partition``).
+:class:`SortedWindow` is the per-sample variant the admission policies
+use: an incremental sorted list with the same prune boundary and the same
+percentile arithmetic, so it reads the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -44,6 +49,7 @@ from ..telemetry.records import QueryRecord, percentile
 
 __all__ = [
     "SlidingWindow",
+    "SortedWindow",
     "LatencyHistogram",
     "MetricsSnapshot",
     "MetricsCollector",
@@ -141,6 +147,91 @@ class SlidingWindow:
         """
         self.prune(now)
         return len(self) / self.duration
+
+
+class SortedWindow:
+    """A trailing-duration window kept as an exact incremental order statistic.
+
+    The per-sample counterpart of :class:`SlidingWindow`, for callers that
+    add one sample and read a percentile per event (the admission policies
+    do both on every arrival).  Samples live in time order beside a sorted
+    list of their values: :meth:`add` is a ``bisect.insort``, :meth:`prune`
+    drops samples with ``t < now - duration`` (the boundary of
+    :class:`SlidingWindow`'s ``searchsorted(side="left")``) by a
+    ``bisect_left`` delete, and :meth:`percentile` reads the two order
+    statistics straight off the sorted list with
+    :func:`~repro.telemetry.columns.array_percentile`'s interpolation
+    arithmetic, so every value is bit-identical to :class:`SlidingWindow`'s.
+    The percentile is cached until the next add or prune that removes a
+    sample.  Values must not be NaN (a NaN has no place in a sorted list).
+    """
+
+    __slots__ = ("duration", "_t", "_v", "_sorted", "_cache_q", "_cache")
+
+    def __init__(self, duration: float) -> None:
+        if duration <= 0:
+            raise ValueError(f"window duration must be positive, got {duration}")
+        self.duration = duration
+        self._t: deque[float] = deque()
+        self._v: deque[float] = deque()
+        self._sorted: list[float] = []
+        self._cache_q: float | None = None
+        self._cache = math.nan
+
+    def add(self, t: float, value: float) -> None:
+        if self._t and t < self._t[-1]:
+            raise ValueError("samples must arrive in time order")
+        value = float(value)
+        if value != value:
+            raise ValueError("window samples must not be NaN")
+        self._t.append(t)
+        self._v.append(value)
+        insort(self._sorted, value)
+        self._cache_q = None
+
+    def prune(self, now: float) -> None:
+        cutoff = now - self.duration
+        ts = self._t
+        if not ts or ts[0] >= cutoff:
+            return
+        vs = self._v
+        srt = self._sorted
+        while ts and ts[0] < cutoff:
+            ts.popleft()
+            del srt[bisect_left(srt, vs.popleft())]
+        self._cache_q = None
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def percentile(self, q: float, now: float | None = None) -> float:
+        if now is not None:
+            self.prune(now)
+        if q == self._cache_q:
+            return self._cache
+        srt = self._sorted
+        n = len(srt)
+        if n == 0:
+            value = math.nan
+        elif n == 1:
+            value = srt[0]
+        else:
+            pos = (q / 100.0) * (n - 1)
+            lo = min(max(int(math.floor(pos)), 0), n - 1)
+            hi = min(max(int(math.ceil(pos)), 0), n - 1)
+            if lo == hi:
+                value = srt[lo]
+            else:
+                d_lo = srt[lo]
+                value = d_lo + (srt[hi] - d_lo) * (pos - lo)
+        self._cache_q = q
+        self._cache = value
+        return value
+
+    def rate(self, now: float) -> float:
+        """Samples per second over the full window (see :meth:`SlidingWindow.rate`)."""
+        self.prune(now)
+        return len(self._t) / self.duration
 
 
 class LatencyHistogram:

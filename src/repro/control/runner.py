@@ -42,7 +42,7 @@ from ..cluster.models import MODEL_CATALOGUE, ServerModel, hen_testbed
 from ..core.reconfig import ReconfigPhase
 from ..sim.engine import Simulation
 from ..sim.fastpath import Action
-from ..sim.tracing import DelayLog, percentile
+from ..telemetry.records import DelayLog, percentile
 from ..obs.audit import DecisionLog
 from ..sim.workload import DiurnalTrace, FlashCrowdTrace, arrivals_from_rate_fn
 from .controllers import (

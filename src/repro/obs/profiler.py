@@ -58,17 +58,20 @@ __all__ = ["PHASES", "PhaseProfiler", "resolve_profile"]
 #: is left at its default (None).
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: The engine phases, in hot-path order.  ``commit`` is the inline
-#: per-query python commit (short spans, failure windows, per-query
-#: ``pq_fn``); ``failover`` is the Section 4.4 fall-back of a
-#: failure-window query inside it; ``updates`` applies or stages the
-#: ``updates=`` column (the staged rows themselves run inside
-#: ``sweep_commit``); ``tables`` resolves a cover table for a new
-#: (membership, pq) pair; ``reference`` is the per-query reference path.
+#: The engine phases, in hot-path order.  ``admission`` is the admission
+#: policy's per-arrival decision and its block-booked queue-cap shed runs;
+#: ``commit`` is the inline per-query python commit (short spans, failure
+#: windows, per-query ``pq_fn``, active admission); ``failover`` is the
+#: Section 4.4 fall-back of a failure-window query inside it; ``updates``
+#: applies or stages the ``updates=`` column (the staged rows themselves
+#: run inside ``sweep_commit``); ``tables`` resolves a cover table for a
+#: new (membership, pq) pair; ``reference`` is the per-query reference
+#: path.
 PHASES = (
     "arrival_draw",
     "tables",
     "sweep_commit",
+    "admission",
     "commit",
     "failover",
     "updates",

@@ -6,7 +6,7 @@ from .fastpath import Action, BatchResult, run_queries_fast, run_queries_referen
 from .network import NetworkModel, TrafficLedger
 from .queueing import md1_delay, md1_wait, min_p_for_delay, mm1_wait, utilisation
 from .server import SimServer, TaskRecord
-from .tracing import DelayLog, QueryRecord, linear_fit, percentile
+from ..telemetry.records import DelayLog, QueryRecord, linear_fit, percentile
 from .transport import IncastModel, IncastResult, TransportConfig
 from .workload import (
     DiurnalTrace,

@@ -68,6 +68,17 @@ the accounting loop (reserve/submit/EWMA).  This module removes that loop:
   precisely the state the per-query reference path would have produced, and
   is visible to the very next query.
 
+* **Admission at the arrival seam.**  An active admission policy
+  (:mod:`repro.admission`) decides each arrival on the inline per-query
+  path, before any scheduling work or rng draw.  The backlog it sees is
+  a running max of the ``busy`` mirror (set at span start and after
+  updates and fail-overs, raised at every write-through), and its p99
+  window is an incremental sorted list, so an admitted query costs
+  O(log W).  After a ``queue-cap`` shed the engine finds, with numpy,
+  the maximal run of following arrivals the cap also sheds (the mirrors
+  stand still while nothing is admitted) and books the whole run in one
+  step through ``AdmissionPolicy.shed_run``.
+
 * **The update column.**  Object updates (Section 4.1, Fig 7.4) are a
   stimulus column, not actions: ``updates=`` holds ``(index, time,
   position)`` triples, each applied exactly as
@@ -99,6 +110,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 try:
@@ -134,9 +146,6 @@ __all__ = [
     "run_queries_reference",
 ]
 
-#: Backwards-compatible name: the per-(rings, pq) table moved to the
-#: kernels package when the sweep became pluggable.
-_PqTable = PqEntry
 
 #: Queries buffered before a chunk is force-flushed (bounds buffer memory;
 #: the flush itself is O(chunk) numpy work, so larger is mildly better).
@@ -150,6 +159,10 @@ CHUNK_CAP = 8192
 #: per-span costs that want amortising).  Kernels with
 #: ``fused_commit = True`` (one C call per span) always take the seam.
 BULK_MIN_SPAN = 32
+
+#: First block a queue-cap shed run probes (the block doubles while every
+#: arrival in it is still over the cap).
+SHED_PROBE = 32
 
 #: How much of the deployment an action callback may have touched, from the
 #: engine's point of view -- picks the cheapest sufficient mirror refresh.
@@ -1235,15 +1248,21 @@ class _Engine:
         n_upd = len(upd_idx)
         # index of the next query an update precedes
         next_u = upd_idx[self.ui] if self.ui < n_upd else span_end
+        # the busiest server's queue end, kept running for admission: set
+        # here and after updates / fail-overs, raised at every write-through
+        maxb = max(busy_l) if admission is not None else 0.0
         if prof is not None:
             prof.begin("commit")
 
-        for q_i in range(span_start, span_end):
+        queries = iter(range(span_start, span_end))
+        for q_i in queries:
             if q_i >= next_u:
                 self._apply_updates(
                     _updates_due(upd_idx, upd_t, self.ui, q_i, math.inf)
                 )
                 next_u = upd_idx[self.ui] if self.ui < n_upd else span_end
+                if admission is not None:
+                    maxb = max(busy_l)
             now = arr[q_i]
             if pq_callable:
                 pq = pq_fn(now)
@@ -1254,14 +1273,24 @@ class _Engine:
             # -- admission: decide before any scheduling work or rng draw,
             # off the busiest-server backlog the queue mirror exposes -----
             if admission is not None:
-                backlog = max(busy_l) - now
+                if prof is not None:
+                    prof.begin("admission")
+                backlog = maxb - now
                 if backlog < 0.0:
                     backlog = 0.0
-                if admission.admit(q_i, now, backlog) is not None:
+                reason = admission.admit(q_i, now, backlog)
+                if reason is not None:
                     self.pqs[q_i] = pq
                     self.shed_n += 1
                     if record_assignments:
                         self.assignments.append(())
+                    if reason == "queue-cap" and not pq_callable:
+                        run = self._shed_run(q_i + 1, min(span_end, next_u), maxb, pq)
+                        if run:
+                            next(islice(queries, run, run), None)  # skip them
+                if prof is not None:
+                    prof.end()
+                if reason is not None:
                     continue
 
             if pq != last_pq:
@@ -1286,6 +1315,8 @@ class _Engine:
             # -- failure window: the Section 4.4 fall-back, inline ---------
             if any_failed and any(failed_l[g] for g in g_list):
                 self._failover(q_i, now, pq, entry, g_list, start_id, sched_wall)
+                if admission is not None:
+                    maxb = max(busy_l)
                 continue
 
             # -- commit (identical arithmetic to run_query) ----------------
@@ -1364,7 +1395,10 @@ class _Engine:
             tables = self.tables
             one_table = entry if len(tables) == 1 else None
             for g in res:
-                busy_np[g] = busy_l[g]
+                b = busy_l[g]
+                busy_np[g] = b
+                if b > maxb:
+                    maxb = b
                 s_g = spd_l[g]
                 if spd_np[g] != s_g:
                     spd_np[g] = s_g
@@ -1401,6 +1435,39 @@ class _Engine:
             prof.add_s("sweep_commit", span_sched)
             prof.end()
         return span_end
+
+    def _shed_run(self, start: int, stop: int, maxb: float, pq: int) -> int:
+        """Shed, as one block, the arrivals from *start* the queue cap sheds.
+
+        Called after a ``queue-cap`` shed.  While no query is admitted the
+        queue mirrors stand still, so arrival ``i`` sees the backlog
+        ``max(maxb - arrivals[i], 0)``; the run is the maximal prefix of
+        ``[start, stop)`` at or over the cap (*stop* is the span end or the
+        next update), found by probing blocks of doubling size.  The
+        policy's side of the bookkeeping is ``AdmissionPolicy.shed_run``.
+        Returns the run's length.
+        """
+        cap = self.admission.queue_cap
+        arr = self.arrivals
+        end = start
+        step = SHED_PROBE
+        while end < stop:
+            hi = min(stop, end + step)
+            over = np.maximum(maxb - arr[end:hi], 0.0) >= cap
+            if not over.all():
+                end += int(over.argmin())
+                break
+            end = hi
+            step *= 2
+        n = end - start
+        if n:
+            backlogs = np.maximum(maxb - arr[start:end], 0.0).tolist()
+            self.admission.shed_run(start, self.arr_l[start:end], backlogs)
+            self.pqs[start:end] = pq
+            self.shed_n += n
+            if self.assignments is not None:
+                self.assignments.extend([()] * n)
+        return n
 
     def _failover(
         self,
@@ -1618,8 +1685,10 @@ def run_queries_fast(
     policy name/spec, an :class:`~repro.admission.base.AdmissionPolicy`
     instance, or ``None``/``"none"`` for accept-all.  Passthrough specs
     resolve to ``None`` before the engine sees them, so the default run
-    is bit-identical to the pre-admission engine; an active policy
-    forces the per-query path (the bulk seam cannot shed mid-chunk).
+    is bit-identical to the pre-admission engine.  An active policy runs
+    on the inline per-query path (the bulk seam cannot shed mid-chunk),
+    with ``queue-cap`` shed runs booked as one block (see "Admission at
+    the arrival seam" in the module docstring).
 
     *updates* is the object-update column: ``(index, time, position)``
     triples, each applied exactly as ``Deployment.apply_update(time,
@@ -1686,7 +1755,8 @@ def run_queries_reference(
     scenario runner uses it as the ``engine="reference"`` backend so both
     engines share one definition of *when* an action lands.  *profile* is
     the same knob as on the batched path; here the per-query work lands
-    in a single ``reference`` phase (plus ``actions``).  *admission* is
+    in a single ``reference`` phase (plus ``actions``, ``updates`` and
+    ``admission``).  *admission* is
     the same knob too, with the same backlog/delay signals (the busiest
     server's queued seconds, completed delays by arrival), so shed
     decisions are engine-independent.  *updates* is the same column too,
@@ -1754,10 +1824,15 @@ def run_queries_reference(
         pq = pq or cfg.p
         pqs[q_i] = pq
         if admission is not None:
+            if prof is not None:
+                d0 = perf_ns()
             backlog = max(s.busy_until for s in servers.values()) - now
             if backlog < 0.0:
                 backlog = 0.0
-            if admission.admit(q_i, now, backlog) is not None:
+            reason = admission.admit(q_i, now, backlog)
+            if prof is not None:
+                prof.add_ns("admission", perf_ns() - d0)
+            if reason is not None:
                 shed += 1
                 if assignments is not None:
                     assignments.append(())

@@ -369,9 +369,15 @@ def archive_info(archive: RunArchive) -> dict:
     return info
 
 
+def _floating(a: "np.ndarray") -> bool:
+    return bool(np.issubdtype(a.dtype, np.floating))
+
+
 def _first_divergence(a: "np.ndarray", b: "np.ndarray") -> int:
     k = min(a.size, b.size)
     neq = a[:k] != b[:k]
+    if _floating(a) and _floating(b):
+        neq &= ~(np.isnan(a[:k]) & np.isnan(b[:k]))
     idx = np.nonzero(neq)[0]
     if idx.size:
         return int(idx[0])
@@ -383,11 +389,11 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
 
     Returns ``{"identical": bool, "gated_identical": bool, "columns":
     {name: {...}}}``.  ``identical`` requires every shared column equal
-    and no column present on one side only; ``gated_identical`` applies
-    the differential-test exclusion of wall-clock-derived columns
-    (``log_scheduling``/``bd_scheduling``) and of the engine-chunking
-    admission counters (``shedchunk_*``) -- the right predicate for CI
-    bit-identity gates.
+    (a NaN equals a NaN in the same row) and no column present on one
+    side only; ``gated_identical`` applies the differential-test
+    exclusion of wall-clock-derived columns (``log_scheduling``/
+    ``bd_scheduling``) and of the engine-chunking admission counters
+    (``shedchunk_*``) -- the right predicate for CI bit-identity gates.
     """
     names = sorted(set(a.columns) | set(b.columns))
     out: dict = {"columns": {}}
@@ -403,14 +409,17 @@ def archive_diff(a: RunArchive, b: RunArchive) -> dict:
                 gated_identical = False
             out["columns"][name] = entry
             continue
-        equal = ca.shape == cb.shape and bool(np.array_equal(ca, cb))
+        # NaN matches NaN: a rateless policy's adm_rate is all NaN
+        equal = ca.shape == cb.shape and bool(
+            np.array_equal(ca, cb, equal_nan=_floating(ca) and _floating(cb))
+        )
         entry = {"equal": equal, "n_a": int(ca.size), "n_b": int(cb.size)}
         if not equal:
             entry["first_divergence"] = _first_divergence(ca, cb)
             k = min(ca.size, cb.size)
-            if k and np.issubdtype(ca.dtype, np.floating):
+            if k and _floating(ca):
                 entry["max_abs_diff"] = float(
-                    np.max(np.abs(ca[:k] - cb[:k]))
+                    np.nanmax(np.abs(ca[:k] - cb[:k]), initial=0.0)
                 )
             identical = False
             if not _gate_exempt(name):

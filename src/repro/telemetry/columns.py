@@ -12,10 +12,11 @@ Two invariants matter here:
 * **Loss-free storage.**  Columns are float64/int64, so every python float
   or int that goes in comes back bit-identical.
 * **Bit-exact statistics.**  :func:`array_percentile` reproduces the exact
-  float operations of the historic sorted-list implementation
-  (``repro.sim.tracing.percentile``) via ``np.partition``, so the golden
-  regression pins -- and every controller threshold decision derived from a
-  percentile -- are unchanged by the columnar port.
+  float operations of the historic sorted-list implementation (now
+  :func:`repro.telemetry.records.percentile`, which delegates here) via
+  ``np.partition``, so the golden regression pins -- and every controller
+  threshold decision derived from a percentile -- are unchanged by the
+  columnar port.
 """
 
 from __future__ import annotations

@@ -11,7 +11,13 @@ Three layers of hardening for the admission subsystem (ISSUE-10):
   byte-identical to the pre-admission seed -- BatchResult arrays,
   telemetry columns, and rng stream states, on both engines, on every
   exact kernel, including the ``REPRO_NO_COMPILED_KERNEL`` fallback
-  subprocess.
+  subprocess;
+* differential tests of the batched engine's block-booked ``queue-cap``
+  shed runs against the reference path's one ``admit`` per arrival:
+  per-query arrays, every shed/tick column of the ShedLog, the policy
+  counters and the deployment state, with runs cut by an update, a
+  tick, an action and the span end, inside a failure window, and off
+  under a callable ``pq_fn``.
 """
 
 import dataclasses
@@ -24,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_fastpath import _build, assert_deployments_identical
 
 from repro._rng import capture_streams
 from repro.admission import (
@@ -43,8 +50,10 @@ from repro.admission import (
     resolve_admission,
 )
 from repro.cluster import Deployment, DeploymentConfig, hen_testbed
+from repro.kernels.compiled import compiled_available
 from repro.scenarios import AdmissionSpec, builtin_scenarios
-from repro.sim import PoissonArrivals
+from repro.sim import PoissonArrivals, fastpath
+from repro.sim.fastpath import Action, run_queries_reference
 
 
 def _deployment(n=8, seed=3):
@@ -293,8 +302,6 @@ class TestAdmissionInvariants:
 
 
 def _run_batch(engine, admission, seed=5, kernel=None):
-    from repro.sim.fastpath import run_queries_reference
-
     dep = _deployment(seed=seed)
     arrivals = PoissonArrivals(80.0, seed=seed).times(400)
     if engine == "reference":
@@ -306,12 +313,27 @@ def _run_batch(engine, admission, seed=5, kernel=None):
     return dep, result
 
 
-def _assert_batches_identical(a, b):
+def _assert_batches_identical(a, b, pol_a=None, pol_b=None):
+    """Same per-query arrays and counts; with the two runs' policies, also
+    the same shed/tick log and policy counters."""
     assert a.latencies.tobytes() == b.latencies.tobytes()
     assert a.finishes.tobytes() == b.finishes.tobytes()
     assert a.query_ids.tobytes() == b.query_ids.tobytes()
     assert a.pqs.tobytes() == b.pqs.tobytes()
     assert (a.completed, a.dropped, a.shed) == (b.completed, b.dropped, b.shed)
+    if pol_a is None and pol_b is None:
+        return
+    cols_a, cols_b = pol_a.log.columns(), pol_b.log.columns()
+    assert cols_a.keys() == cols_b.keys()
+    for name in cols_a:
+        if name.startswith("shedchunk_"):  # engine granularity
+            continue
+        assert cols_a[name].dtype == cols_b[name].dtype, name
+        assert cols_a[name].tobytes() == cols_b[name].tobytes(), name
+    assert pol_a.log.meta()["reasons"] == pol_b.log.meta()["reasons"]
+    assert (pol_a.accepted, pol_a.shed) == (pol_b.accepted, pol_b.shed)
+    assert pol_a.max_admitted_backlog == pol_b.max_admitted_backlog
+    assert pol_a.shed == a.shed
 
 
 class TestNonePolicyBitIdentity:
@@ -412,10 +434,11 @@ class TestActivePolicyBehaviour:
         "delay_gated:slo=0.5,cap_multiple=2",
     ])
     def test_engines_agree_under_overload(self, spec):
-        _, fast = _run_batch("batched", admission=get_policy(spec))
-        _, ref = _run_batch("reference", admission=get_policy(spec))
+        pol_fast, pol_ref = get_policy(spec), get_policy(spec)
+        _, fast = _run_batch("batched", admission=pol_fast)
+        _, ref = _run_batch("reference", admission=pol_ref)
         assert fast.shed > 0
-        _assert_batches_identical(fast, ref)
+        _assert_batches_identical(fast, ref, pol_fast, pol_ref)
 
     def test_shed_queries_consume_no_rng_and_no_log_rows(self):
         dep, run = _run_batch(
@@ -472,3 +495,224 @@ class TestActivePolicyBehaviour:
         for policy in ("aimd", "delay_gated"):
             assert results[policy].goodput > results["none"].goodput
             assert results[policy].p99_delay < results["none"].p99_delay
+
+
+# -- queue-cap shed runs: block booking == one admit per arrival -----------
+
+
+class TestShedRunBookkeeping:
+    @pytest.mark.parametrize("spec", [
+        "aimd:slo=0.25,cap_multiple=1,floor=5,capacity=60,rate=30,burst=2",
+        "delay_gated:slo=0.25,cap_multiple=1",
+    ])
+    def test_shed_run_equals_per_arrival_admits(self, spec):
+        per_arrival, block = get_policy(spec), get_policy(spec)
+        for pol in (per_arrival, block):
+            pol.observe(0.5, 0.1)
+            pol.observe(0.6, 0.9)
+            pol.admit(0, 0.7, 0.0)
+        times = [0.8, 0.8, 0.85, 1.0, 1.3]
+        backlogs = [2.0, 2.0, 1.95, 1.8, 1.5]
+        for k, (t, b) in enumerate(zip(times, backlogs)):
+            assert per_arrival.admit(1 + k, t, b) == "queue-cap"
+        block.shed_run(1, times, backlogs)
+        cols_a, cols_b = per_arrival.log.columns(), block.log.columns()
+        for name in cols_a:
+            assert cols_a[name].tobytes() == cols_b[name].tobytes(), name
+        assert per_arrival.log.meta() == block.log.meta()
+        assert vars(per_arrival).keys() == vars(block).keys()
+        for name, value in vars(per_arrival).items():
+            if name not in ("log", "window"):
+                assert value == vars(block)[name], name
+        # the next tick sees the same high-water mark, counts and window
+        per_arrival.tick(1.5, 6)
+        block.tick(1.5, 6)
+        assert (
+            per_arrival.log.columns()["adm_backlog_hwm"].tobytes()
+            == block.log.columns()["adm_backlog_hwm"].tobytes()
+        )
+
+    def test_record_sheds_equals_record_shed(self):
+        one, bulk = ShedLog(), ShedLog()
+        one.record_shed(0.5, 3, "rate", 0.1, 0.0)
+        bulk.record_shed(0.5, 3, "rate", 0.1, 0.0)
+        rows = [(1.0, 9.0, 0.5), (1.5, 8.5, 0.25), (2.0, 8.0, math.nan)]
+        for k, (t, b, sig) in enumerate(rows):
+            one.record_shed(t, 7 + k, "queue-cap", b, sig)
+        times, backlogs, signals = (list(col) for col in zip(*rows))
+        bulk.record_sheds(7, times, "queue-cap", backlogs, signals)
+        cols_a, cols_b = one.columns(), bulk.columns()
+        for name in cols_a:
+            assert cols_a[name].dtype == cols_b[name].dtype, name
+            assert cols_a[name].tobytes() == cols_b[name].tobytes(), name
+        assert one.meta() == bulk.meta()
+
+
+# -- queue-cap shed runs on the batched engine == the reference path -----
+
+KERNELS = ["exact_numpy"] + (["compiled"] if compiled_available() else [])
+
+#: every shed of these runs is queue-cap or the policy's own gate
+RUN_SPECS = [
+    "aimd:slo=0.25,cap_multiple=1,floor=5,capacity=60,rate=30,burst=2",
+    "delay_gated:slo=0.25,cap_multiple=1,slo_multiple=2",
+]
+
+
+@pytest.fixture
+def shed_runs(monkeypatch):
+    """``(start, stop, length)`` of every shed run the batched engine booked."""
+    seen = []
+    book = fastpath._Engine._shed_run
+
+    def spy(self, start, stop, maxb, pq):
+        n = book(self, start, stop, maxb, pq)
+        seen.append((start, stop, n))
+        return n
+
+    monkeypatch.setattr(fastpath._Engine, "_shed_run", spy)
+    return seen
+
+
+def _arrivals(n=600, rate=200.0):
+    return PoissonArrivals(rate, seed=5).times(n)
+
+
+def _shed_run_pair(spec, kernel, arrivals, pq=4, actions=None, updates=None):
+    """Batched and reference runs of one overload setting, each with its own
+    deployment and policy; *actions* builds the actions from (dep, policy)."""
+    out = []
+    for engine in ("batched", "reference"):
+        dep = _build(n=12, seed=3)
+        policy = get_policy(spec)
+        acts = actions(dep, policy) if actions is not None else None
+        kw = dict(record_assignments=True, actions=acts, admission=policy,
+                  updates=updates)
+        if engine == "batched":
+            result = dep.run_queries_fast(arrivals, pq, kernel=kernel, **kw)
+        else:
+            result = run_queries_reference(dep, arrivals, pq, **kw)
+        out.append((dep, result, policy))
+    return out
+
+
+def _assert_shed_pair_identical(pair):
+    (dep_f, fast, pol_f), (dep_r, ref, pol_r) = pair
+    assert fast.shed > 0
+    _assert_batches_identical(fast, ref, pol_f, pol_r)
+    assert_deployments_identical(dep_r, dep_f)
+    # shed slots record no server on either engine; otherwise the
+    # reference lists the executors, the batched engine the selection
+    assert len(fast.assignments) == len(ref.assignments) == len(fast.arrivals)
+    assert [set(a) for a in fast.assignments] == [set(a) for a in ref.assignments]
+
+
+def _long_run(arrivals, spec, kernel, shed_runs, min_len=6):
+    """A shed run of at least *min_len* arrivals on the plain workload."""
+    _shed_run_pair(spec, kernel, arrivals)
+    runs = [r for r in shed_runs if r[2] >= min_len and r[0] > 50]
+    assert runs, "the workload lost its long shed runs"
+    shed_runs.clear()
+    return runs[0]
+
+
+def _tick(policy, arrivals, k):
+    """An admission tick before query *k*, as the scenario runner compiles it."""
+
+    def fire(now):
+        policy.tick(now, query_index=k)
+
+    return Action(k, arrivals[k - 1], fire, "none")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("spec", RUN_SPECS)
+class TestShedRunDifferential:
+    def test_runs_with_ticks(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        pair = _shed_run_pair(
+            spec, kernel, arrivals,
+            actions=lambda dep, pol: [
+                _tick(pol, arrivals, k) for k in range(40, len(arrivals), 40)
+            ],
+        )
+        assert sum(n for _, _, n in shed_runs) > 100
+        assert pair[0][2].log.n_ticks == len(range(40, len(arrivals), 40))
+        _assert_shed_pair_identical(pair)
+
+    def test_run_ends_at_an_update_index(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        start, _, n = _long_run(arrivals, spec, kernel, shed_runs)
+        cut = start + n // 2
+        updates = [(cut, arrivals[cut - 1], 0.3), (cut, arrivals[cut - 1], 0.8)]
+        pair = _shed_run_pair(spec, kernel, arrivals, updates=updates)
+        assert (start, cut, cut - start) in shed_runs
+        assert pair[0][1].updates_applied == 2
+        _assert_shed_pair_identical(pair)
+
+    def test_run_ends_at_a_tick(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        start, _, n = _long_run(arrivals, spec, kernel, shed_runs)
+        cut = start + n // 2
+        pair = _shed_run_pair(
+            spec, kernel, arrivals,
+            actions=lambda dep, pol: [_tick(pol, arrivals, cut)],
+        )
+        assert (start, cut, cut - start) in shed_runs
+        _assert_shed_pair_identical(pair)
+
+    def test_run_ends_at_an_exact_time_action(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        start, _, n = _long_run(arrivals, spec, kernel, shed_runs)
+        cut = start + n // 2
+        pair = _shed_run_pair(
+            spec, kernel, arrivals,
+            actions=lambda dep, pol: [
+                Action(cut, arrivals[cut - 1], lambda now: None, "busy")
+            ],
+        )
+        assert (start, cut, cut - start) in shed_runs
+        _assert_shed_pair_identical(pair)
+
+    def test_run_ends_at_the_span_end(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        start, _, n = _long_run(arrivals, spec, kernel, shed_runs)
+        arrivals = arrivals[: start + n // 2]
+        pair = _shed_run_pair(spec, kernel, arrivals)
+        end = len(arrivals)
+        assert (start, end, end - start) in shed_runs
+        _assert_shed_pair_identical(pair)
+
+    def test_run_inside_a_failure_window(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        k1, k2 = 100, 400
+
+        def window(dep, pol):
+            names = [node.name for node in dep.rings[0].nodes()[:2]]
+
+            def fail(now):
+                for name in names:
+                    dep.fail_node(name, now)
+
+            def recover(now):
+                for name in names:
+                    dep.recover_node(name, now)
+
+            return [
+                Action(k1, arrivals[k1 - 1], fail, "values"),
+                Action(k2, arrivals[k2 - 1], recover, "values"),
+                _tick(pol, arrivals, 250),
+            ]
+
+        pair = _shed_run_pair(spec, kernel, arrivals, actions=window)
+        assert pair[0][1].failover > 0
+        assert any(k1 <= s and s + n <= k2 and n > 1 for s, _, n in shed_runs)
+        _assert_shed_pair_identical(pair)
+
+    def test_callable_pq_fn_stays_per_arrival(self, spec, kernel, shed_runs):
+        arrivals = _arrivals()
+        pair = _shed_run_pair(
+            spec, kernel, arrivals, pq=lambda now: 4 if now < 1.5 else 6
+        )
+        assert shed_runs == []
+        _assert_shed_pair_identical(pair)

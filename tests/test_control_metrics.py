@@ -1,16 +1,19 @@
 """Tests for the control plane's observation layer (repro.control.metrics)."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.control.metrics import (
     LatencyHistogram,
     MetricsCollector,
     SlidingWindow,
+    SortedWindow,
 )
 from repro.sim.server import SimServer
-from repro.sim.tracing import QueryRecord
+from repro.telemetry.records import QueryRecord
 
 
 def record(qid, arrival, delay):
@@ -59,6 +62,110 @@ class TestSlidingWindow:
         w = SlidingWindow(10.0)
         w.add(59.999, 0.2)
         assert w.rate(60.0) == pytest.approx(0.1)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _assert_windows_agree(inc, ref, q, now):
+    """Same percentile bits (NaN for both when empty), rate and size."""
+    p_inc = inc.percentile(q, now)
+    p_ref = ref.percentile(q, now)
+    assert _bits(p_inc) == _bits(p_ref) or (math.isnan(p_inc) and math.isnan(p_ref))
+    assert inc.rate(now) == ref.rate(now)
+    assert len(inc) == len(ref)
+
+
+#: clock steps: 0 gives equal timestamps; dyadic steps and durations put
+#: samples exactly on the ``now - duration`` prune boundary
+window_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "prune", "query"]),
+        st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+        st.sampled_from([0.1, 0.1, 0.2, 0.3])
+        | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        st.sampled_from([0, 1, 50, 90, 99, 99.9, 100]),
+    ),
+    max_size=80,
+)
+
+
+class TestSortedWindow:
+    """The admission window: an incremental order statistic that must read
+    exactly what the ``np.partition`` window reads."""
+
+    @given(ops=window_ops, duration=st.sampled_from([0.5, 1.0, 2.5, 4.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sliding_window_bit_for_bit(self, ops, duration):
+        inc, ref = SortedWindow(duration), SlidingWindow(duration)
+        now = 0.0
+        for op, dt, value, q in ops:
+            now += dt
+            if op == "add":
+                inc.add(now, value)
+                ref.add(now, value)
+            elif op == "prune":
+                inc.prune(now)
+                ref.prune(now)
+            else:
+                _assert_windows_agree(inc, ref, q, now)
+        for q in (0, 50, 99, 100):
+            _assert_windows_agree(inc, ref, q, now)
+            _assert_windows_agree(inc, ref, q, now + duration)
+
+    def test_empty_window_is_nan(self):
+        w = SortedWindow(5.0)
+        assert math.isnan(w.percentile(99, 1.0))
+        assert w.rate(1.0) == 0.0 and len(w) == 0
+
+    def test_one_sample(self):
+        inc, ref = SortedWindow(5.0), SlidingWindow(5.0)
+        inc.add(1.0, 0.7)
+        ref.add(1.0, 0.7)
+        for q in (0, 50, 99, 100):
+            _assert_windows_agree(inc, ref, q, 1.0)
+
+    def test_sample_exactly_at_the_boundary_is_kept(self):
+        inc, ref = SortedWindow(2.0), SlidingWindow(2.0)
+        for t, v in ((1.0, 0.4), (2.0, 0.1), (3.0, 0.9)):
+            inc.add(t, v)
+            ref.add(t, v)
+        _assert_windows_agree(inc, ref, 99, 3.0)  # 3 - 2 == 1.0: kept
+        assert len(inc) == 3
+        _assert_windows_agree(inc, ref, 99, 3.5)  # 1.0 < 1.5: dropped
+        assert len(inc) == 2
+
+    def test_duplicates_and_equal_timestamps(self):
+        inc, ref = SortedWindow(1.0), SlidingWindow(1.0)
+        for t, v in ((0.5, 0.2), (0.5, 0.2), (0.5, 0.3), (1.0, 0.2), (1.0, 0.1)):
+            inc.add(t, v)
+            ref.add(t, v)
+            _assert_windows_agree(inc, ref, 99, t)
+        # pruning removes exactly one copy per dropped sample
+        _assert_windows_agree(inc, ref, 50, 1.75)
+        assert len(inc) == 2
+
+    def test_percentile_cache_follows_q_adds_and_prunes(self):
+        w = SortedWindow(10.0)
+        for i in range(1, 101):
+            w.add(float(i) / 10.0, float(i))
+        p99 = w.percentile(99)
+        assert w.percentile(50) == 50.5 and w.percentile(99) == p99
+        w.add(10.0, 1000.0)
+        assert w.percentile(99) > p99
+        w.prune(30.0)
+        assert math.isnan(w.percentile(99))
+
+    def test_rejects_out_of_order_and_nan(self):
+        w = SortedWindow(10.0)
+        w.add(5.0, 1.0)
+        with pytest.raises(ValueError):
+            w.add(4.0, 1.0)
+        with pytest.raises(ValueError):
+            w.add(6.0, math.nan)
+        with pytest.raises(ValueError):
+            SortedWindow(0.0)
 
 
 class TestLatencyHistogram:

@@ -165,9 +165,9 @@ class TestPhaseProfiler:
         # the documented phase vocabulary is the engine's contract; a
         # rename must update both
         assert set(PHASES) == {
-            "arrival_draw", "tables", "sweep_commit", "commit", "failover",
-            "updates", "flush", "listeners", "actions", "materialise",
-            "reference",
+            "arrival_draw", "tables", "sweep_commit", "admission", "commit",
+            "failover", "updates", "flush", "listeners", "actions",
+            "materialise", "reference",
         }
 
 

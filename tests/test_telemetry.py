@@ -377,6 +377,19 @@ class TestArchive:
         assert not diff["identical"]
         assert diff["gated_identical"]  # wall-clock divergence only
 
+    def test_diff_matches_nan_with_nan(self, tmp_path):
+        # a rateless admission policy archives an all-NaN adm_rate column
+        _, path = self._archived(tmp_path)
+        a, b = read_archive(path), read_archive(path)
+        rate = np.array([np.nan, np.nan, 2.0])
+        a.columns["adm_rate"] = rate
+        b.columns["adm_rate"] = rate.copy()
+        assert archive_diff(a, b)["identical"]
+        b.columns["adm_rate"] = np.array([np.nan, 1.0, 2.0])
+        diff = archive_diff(a, b)
+        assert not diff["gated_identical"]
+        assert diff["columns"]["adm_rate"]["first_divergence"] == 1
+
     def test_schema_mismatch_refused(self, tmp_path):
         import json
 
