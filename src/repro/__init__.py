@@ -15,7 +15,9 @@ Subpackages:
 * :mod:`repro.analysis` -- closed-form models: bandwidth, delay bounds,
   availability, index-based-vs-PPS trade-off.
 * :mod:`repro.control` -- closed-loop control plane: live metrics windows,
-  SLO-driven elasticity, online re-partitioning, scenario runner.
+  SLO-driven elasticity, online re-partitioning, the deployment actuator.
+* :mod:`repro.scenarios` -- declarative scenarios, the builtin battery and
+  the one scenario runner behind ``repro matrix`` and ``repro control``.
 """
 
 __version__ = "1.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Optional, Union
 
+from .._registry import Registry
 from .base import AdmissionPolicy
 
 __all__ = [
@@ -40,8 +41,7 @@ __all__ = [
 
 DEFAULT_POLICY = "none"
 
-_FACTORIES: dict[str, Callable[..., AdmissionPolicy]] = {}
-_ALIASES: dict[str, str] = {}
+_REGISTRY = Registry("admission policy", param="admission", unknown="admission policy")
 
 
 def register_policy(
@@ -51,44 +51,12 @@ def register_policy(
     replace: bool = False,
 ) -> None:
     """Register a policy factory under *name* (plus optional aliases)."""
-    if not replace and (name in _FACTORIES or name in _ALIASES):
-        raise ValueError(f"admission policy {name!r} is already registered")
-    _FACTORIES[name] = factory
-    for alias in aliases:
-        if not replace and (alias in _FACTORIES or alias in _ALIASES):
-            raise ValueError(
-                f"admission policy alias {alias!r} is already registered"
-            )
-        _ALIASES[alias] = name
+    _REGISTRY.register(name, factory, aliases, replace)
 
 
 def policy_names() -> tuple[str, ...]:
     """Canonical registered policy names, registration order."""
-    return tuple(_FACTORIES)
-
-
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad admission parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
+    return _REGISTRY.names()
 
 
 def get_policy(spec: Union[str, AdmissionPolicy, None]) -> AdmissionPolicy:
@@ -103,15 +71,7 @@ def get_policy(spec: Union[str, AdmissionPolicy, None]) -> AdmissionPolicy:
         spec = DEFAULT_POLICY
     if isinstance(spec, AdmissionPolicy):
         return spec
-    name, kwargs = _parse_spec(spec)
-    name = _ALIASES.get(name, name)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown admission policy {name!r}; registered: "
-            f"{', '.join(policy_names())}"
-        )
-    return factory(**kwargs)
+    return _REGISTRY.build(spec)
 
 
 def resolve_admission(
@@ -137,14 +97,8 @@ def build_admission(spec) -> Optional[AdmissionPolicy]:
     """
     if spec is None:
         return None
-    name, kwargs = _parse_spec(spec.policy)
-    name = _ALIASES.get(name, name)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown admission policy {name!r}; registered: "
-            f"{', '.join(policy_names())}"
-        )
+    name, kwargs = _REGISTRY.parse(spec.policy)
+    factory = _REGISTRY.factory(name)
     params = inspect.signature(factory).parameters
     accepts_any = any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
@@ -171,24 +125,12 @@ def build_admission(spec) -> Optional[AdmissionPolicy]:
 
 def is_known_policy(spec: str) -> bool:
     """Cheap name-only validation (no instantiation)."""
-    try:
-        name, _ = _parse_spec(spec)
-    except ValueError:
-        return False
-    return name in _FACTORIES or name in _ALIASES
+    return _REGISTRY.is_known(spec)
 
 
 def canonical_spec(spec: str) -> str:
     """Normalise *spec*: resolve aliases, keep any parameter suffix."""
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _FACTORIES:
-        raise ValueError(
-            f"unknown admission policy {name!r}; registered: "
-            f"{', '.join(policy_names())}"
-        )
-    _, _, params = spec.partition(":")
-    return f"{resolved}:{params}" if params else resolved
+    return _REGISTRY.canonical(spec)
 
 
 def policy_specs() -> list[dict[str, object]]:

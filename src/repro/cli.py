@@ -6,7 +6,8 @@ notebooks should import :mod:`repro` directly):
 * ``compare``  -- Chapter 6 algorithm comparison (ROAR vs PTN/SW/opt);
 * ``deploy``   -- Chapter 7 single deployment run;
 * ``plan``     -- recommend a (p, r) configuration for a workload;
-* ``control``  -- closed-loop control-plane scenario (elastic ROAR);
+* ``control``  -- a builtin scenario (flash crowd, diurnal cycle, rack
+  failure) with the SLO control loop attached (elastic ROAR);
 * ``matrix``   -- sweep the builtin scenario battery, print one table;
 * ``bench``    -- the standard performance sweeps + ``BENCH_<rev>.json``
   snapshot, optionally gated against a baseline (``docs/benchmarks.md``);
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     ctrl.add_argument("--duration", type=float, default=240.0,
                       help="simulated seconds")
     ctrl.add_argument("--rate", type=float, default=None,
-                      help="base queries/s (default: auto ~30%% load)")
+                      help="base queries/s (default: auto ~35%% load)")
     ctrl.add_argument("--slo", type=float, default=1.0,
                       help="p99 latency target in seconds")
     ctrl.add_argument("--policies", default="elasticity,repartition",
@@ -460,24 +461,37 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    from .control import ScenarioConfig, run_scenario
+    from .scenarios import (
+        ControlSpec,
+        MatrixResult,
+        control_scenario,
+        execute_scenario,
+        phase_p99,
+        summarise_execution,
+    )
 
     policies = tuple(x.strip() for x in args.policies.split(",") if x.strip())
-    report = run_scenario(
-        ScenarioConfig(
-            scenario=args.scenario,
-            n_servers=args.servers,
-            p0=args.p,
-            duration=args.duration,
-            base_rate=args.rate,
-            slo_p99=args.slo,
-            seed=args.seed,
-            policies=policies,
-            use_planner=args.planner,
-        )
+    scenario = control_scenario(
+        args.scenario,
+        ControlSpec(policies=policies, slo_p99=args.slo, planner=args.planner),
+        n_servers=args.servers,
+        duration=args.duration,
+        p=args.p,
+        seed=args.seed,
+        rate=args.rate,
     )
-    print(report.summary())
-    return 0 if report.adapted else 1
+    ex = execute_scenario(scenario)
+    print(MatrixResult([summarise_execution(ex)]).table())
+    print()
+    print(f"SLO (p99)      : {args.slo * 1000:.0f} ms")
+    for label, p99 in zip(("before", "crisis", "after"), phase_p99(ex)):
+        shown = "- (no query completed)" if math.isnan(p99) else f"{p99 * 1000:.0f} ms"
+        print(f"p99 {label:10s} : {shown}")
+    actions = ex.actions
+    print(f"adapted        : {bool(actions)} ({len(actions)} actions)")
+    for act in actions:
+        print(f"  t={act.time:7.1f}s  [{act.controller}] {act.kind}: {act.detail}")
+    return 0 if actions else 1
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:

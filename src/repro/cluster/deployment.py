@@ -34,7 +34,7 @@ from ..core.updates import update_replicas
 from ..sim.energy import EnergyReport, measure_energy
 from ..sim.network import NetworkModel, TrafficLedger
 from ..sim.server import SimServer
-from ..telemetry.listeners import ChunkListener, ListenerList
+from ..telemetry.listeners import ChunkListener
 from ..telemetry.records import (
     BreakdownLog,
     DelayLog,
@@ -129,9 +129,6 @@ class Deployment:
         #: known-dead bookkeeping: name -> time the front-end learned of it.
         self._known_dead: dict[str, float] = {}
 
-        #: legacy per-query callbacks (deprecated -- appending warns once;
-        #: prefer chunk_listeners, which see whole flushed chunks as arrays).
-        self.query_listeners: ListenerList = ListenerList()
         #: chunk-array subscribers (:class:`~repro.telemetry.ChunkListener`):
         #: one ``observe_chunk`` call per flushed chunk on the batched path,
         #: ``observe_record`` per query on the reference path.
@@ -361,8 +358,6 @@ class Deployment:
             scheduling_delay=sched_wall,
         )
         self.log.add(record)
-        for listener in self.query_listeners:
-            listener(record)
         breakdown = QueryBreakdown(
             scheduling=sched_wall,
             network=rtt,

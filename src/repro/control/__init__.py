@@ -3,11 +3,15 @@
 The paper's mechanisms (ring edits, :mod:`repro.core.reconfig`, the heap
 scheduler) make ROAR *able* to change shape online; this subpackage adds the
 thing that *decides* to.  It observes a running deployment through sliding
-metric windows, and drives the two elastic knobs -- the server set and the
-partitioning level -- from SLO-style policies, with scenarios (flash crowds,
-diurnal cycles, correlated rack failures) to exercise the loop end-to-end.
+metric windows (:mod:`~repro.control.metrics`), drives the two elastic
+knobs -- the server set and the partitioning level -- from SLO-style
+policies (:mod:`~repro.control.controllers`), and applies their intents
+through a :class:`DeploymentActuator`.  Scenarios close the loop by
+carrying a :class:`~repro.scenarios.spec.ControlSpec`; ``repro control``
+runs the builtin flash-crowd, diurnal and rack-failure scenarios with one.
 """
 
+from .actuator import DeploymentActuator, schedule_repartition
 from .controllers import (
     ControlAction,
     Controller,
@@ -21,17 +25,8 @@ from .metrics import (
     MetricsSnapshot,
     SlidingWindow,
 )
-from .runner import (
-    SCENARIOS,
-    DeploymentActuator,
-    ScenarioConfig,
-    ScenarioReport,
-    ScenarioRunner,
-    run_scenario,
-)
 
 __all__ = [
-    "SCENARIOS",
     "ControlAction",
     "Controller",
     "DeploymentActuator",
@@ -41,9 +36,6 @@ __all__ = [
     "MetricsSnapshot",
     "RepartitionController",
     "SLOElasticityController",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "ScenarioRunner",
     "SlidingWindow",
-    "run_scenario",
+    "schedule_repartition",
 ]

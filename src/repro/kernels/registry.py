@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
+from .._registry import Registry
 from .base import KernelUnavailableError, SweepKernel
 
 __all__ = [
@@ -28,8 +29,7 @@ __all__ = [
 
 DEFAULT_KERNEL = "exact_numpy"
 
-_FACTORIES: dict[str, Callable[..., SweepKernel]] = {}
-_ALIASES: dict[str, str] = {}
+_REGISTRY = Registry("kernel", param="kernel", unknown="scheduling kernel")
 
 
 def register_kernel(
@@ -39,42 +39,12 @@ def register_kernel(
     replace: bool = False,
 ) -> None:
     """Register a kernel factory under *name* (plus optional aliases)."""
-    if not replace and (name in _FACTORIES or name in _ALIASES):
-        raise ValueError(f"kernel {name!r} is already registered")
-    _FACTORIES[name] = factory
-    for alias in aliases:
-        if not replace and (alias in _FACTORIES or alias in _ALIASES):
-            raise ValueError(f"kernel alias {alias!r} is already registered")
-        _ALIASES[alias] = name
+    _REGISTRY.register(name, factory, aliases, replace)
 
 
 def kernel_names() -> tuple[str, ...]:
     """Canonical registered kernel names, registration order."""
-    return tuple(_FACTORIES)
-
-
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad kernel parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
+    return _REGISTRY.names()
 
 
 def get_kernel(spec: Union[str, SweepKernel, None]) -> SweepKernel:
@@ -91,24 +61,12 @@ def get_kernel(spec: Union[str, SweepKernel, None]) -> SweepKernel:
         spec = DEFAULT_KERNEL
     if isinstance(spec, SweepKernel):
         return spec
-    name, kwargs = _parse_spec(spec)
-    name = _ALIASES.get(name, name)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown scheduling kernel {name!r}; registered: "
-            f"{', '.join(kernel_names())}"
-        )
-    return factory(**kwargs)
+    return _REGISTRY.build(spec)
 
 
 def is_known_kernel(spec: str) -> bool:
     """Cheap name-only validation (no instantiation, no build attempt)."""
-    try:
-        name, _ = _parse_spec(spec)
-    except ValueError:
-        return False
-    return name in _FACTORIES or name in _ALIASES
+    return _REGISTRY.is_known(spec)
 
 
 def canonical_spec(spec: str) -> str:
@@ -118,15 +76,7 @@ def canonical_spec(spec: str) -> str:
     without instantiating the kernel -- no build attempt, so it is safe
     to call up front before expensive work.
     """
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _FACTORIES:
-        raise ValueError(
-            f"unknown scheduling kernel {name!r}; registered: "
-            f"{', '.join(kernel_names())}"
-        )
-    _, _, params = spec.partition(":")
-    return f"{resolved}:{params}" if params else resolved
+    return _REGISTRY.canonical(spec)
 
 
 def kernel_available(name: str) -> bool:

@@ -22,11 +22,15 @@ from .runner import (
     ScenarioResult,
     build_deployment,
     execute_scenario,
+    phase_p99,
     run_scenario_spec,
+    summarise_execution,
 )
 from .matrix import (
+    CONTROL_SCENARIOS,
     MatrixResult,
     builtin_scenarios,
+    control_scenario,
     render_table,
     run_matrix,
     trace_scenario,
@@ -34,6 +38,7 @@ from .matrix import (
 from .spec import scenario_from_dict, scenario_to_dict
 
 __all__ = [
+    "CONTROL_SCENARIOS",
     "AdmissionSpec",
     "ChurnSpec",
     "ControlSpec",
@@ -46,11 +51,14 @@ __all__ = [
     "WorkloadSpec",
     "build_deployment",
     "builtin_scenarios",
+    "control_scenario",
     "execute_scenario",
+    "phase_p99",
     "render_table",
     "run_matrix",
     "run_scenario_spec",
     "scenario_from_dict",
     "scenario_to_dict",
+    "summarise_execution",
     "trace_scenario",
 ]

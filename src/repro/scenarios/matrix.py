@@ -30,8 +30,10 @@ from .spec import (
 )
 
 __all__ = [
+    "CONTROL_SCENARIOS",
     "MatrixResult",
     "builtin_scenarios",
+    "control_scenario",
     "render_table",
     "run_matrix",
     "trace_scenario",
@@ -183,6 +185,37 @@ def builtin_scenarios(
             **common,
         ),
     ]
+
+
+#: builtin scenarios ``repro control`` closes the loop over.
+CONTROL_SCENARIOS = ("flash-crowd", "diurnal", "rack-failure")
+
+
+def control_scenario(
+    name: str,
+    control: ControlSpec,
+    n_servers: int = 16,
+    duration: float = 240.0,
+    p: int = 4,
+    seed: int = 1,
+    rate: float | None = None,
+) -> Scenario:
+    """Builtin scenario *name* with the closed loop *control* attached.
+
+    What ``repro control`` runs: the battery's stimulus (flash crowd,
+    diurnal cycle or rack failure, at ~35% base load unless *rate* is
+    given) plus object stores, so the repartition policy can move
+    replicas.
+    """
+    if name not in CONTROL_SCENARIOS:
+        raise ValueError(
+            f"unknown control scenario {name!r}; pick one of {CONTROL_SCENARIOS}"
+        )
+    battery = builtin_scenarios(
+        n_servers=n_servers, duration=duration, p=p, seed=seed, rate=rate
+    )
+    base = next(s for s in battery if s.name == name)
+    return base.with_(control=control, store_objects=True)
 
 
 def trace_scenario(

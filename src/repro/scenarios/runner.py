@@ -4,11 +4,12 @@ One runner drives every layer the same way regardless of what the scenario
 throws at it: the deployment serves the arrival trace (on the batched fast
 path by default, or the per-query reference path), timed events and churn
 edit the membership, Zipf-skewed updates heat replica holders, and -- when a
-:class:`ControlSpec` is present -- the PR-1 control plane (metrics collector,
+:class:`ControlSpec` is present -- the control plane (metrics collector,
 SLO elasticity, online re-partitioning) closes the loop at its tick
-interval, actuating through the same
-:class:`~repro.control.runner.DeploymentActuator` the closed-loop runner
-uses.
+interval, actuating through a
+:class:`~repro.control.actuator.DeploymentActuator`.  ``repro control`` is
+this runner over a builtin scenario plus a ``ControlSpec``
+(:func:`~repro.scenarios.matrix.control_scenario`).
 
 Execution has **exact event-time semantics**: every stimulus is bound to the
 precise query index where its timestamp falls and lands *between those two
@@ -36,21 +37,21 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as _np
 
+from ..analysis.planner import WorkloadSpec as PlannerSpec
+from ..analysis.planner import recommend_configuration, recommend_from_metrics
 from ..cluster.deployment import Deployment, DeploymentConfig
 from ..cluster.models import MODEL_CATALOGUE, ServerModel, ec2_fleet, hen_testbed
+from ..control.actuator import DeploymentActuator, schedule_repartition
 from ..control.controllers import (
     Controller,
     RepartitionController,
     SLOElasticityController,
 )
 from ..control.metrics import MetricsCollector
-from ..control.runner import DeploymentActuator
-from ..core.reconfig import ReconfigPhase
 from ..sim.engine import Simulation
 from ..sim.energy import PowerProfile
 from ..sim.fastpath import Action, run_queries_reference
@@ -59,6 +60,7 @@ from ..sim.workload import (
     batched_uniform_times,
     zipf_update_times,
 )
+from ..telemetry.columns import array_percentile
 from ..traces.spec import TraceSpec
 from .spec import Scenario
 
@@ -70,7 +72,9 @@ __all__ = [
     "build_models",
     "execute_scenario",
     "generate_arrivals",
+    "phase_p99",
     "run_scenario_spec",
+    "summarise_execution",
 ]
 
 ENGINES = ("batched", "reference")
@@ -140,7 +144,7 @@ def _vector_rate_fn(scenario: Scenario):
         base = w.rate
 
         def rate_fn(t):
-            # start at the trough, peak mid-run (the control runner's phase)
+            # start at the trough, peak mid-run
             return base * (
                 1.0 + amp * _np.sin(2.0 * _np.pi * _np.asarray(t) / d - _np.pi / 2.0)
             )
@@ -233,6 +237,14 @@ class ScenarioExecution:
     #: :class:`~repro.admission.records.ShedLog`); None when the scenario
     #: has no admission spec or the policy is accept-all.
     admission: object = None
+
+    @property
+    def actions(self) -> list:
+        """Every controller's :class:`~repro.control.ControlAction`, in time
+        order."""
+        return sorted(
+            (a for c in self.controllers for a in c.actions), key=lambda a: a.time
+        )
 
 
 @dataclass
@@ -342,13 +354,14 @@ def execute_scenario(
 
         decision_log = DecisionLog()
         collector = MetricsCollector(window=ctl.metrics_window).attach(deployment)
-        shim = SimpleNamespace(
-            p0=scenario.p,
-            drop_seconds=ctl.drop_seconds,
+        actuator = DeploymentActuator(
+            deployment,
+            sim,
+            scenario.p,
             grow_seconds=ctl.grow_seconds,
+            drop_seconds=ctl.drop_seconds,
             growth_model=ctl.growth_model,
         )
-        actuator = DeploymentActuator(deployment, sim, shim)
         if scenario.pq is not None:
             actuator.set_pq(scenario.pq)
         if "elasticity" in ctl.policies:
@@ -370,6 +383,7 @@ def execute_scenario(
                     p_max=ctl.p_max
                     or max(scenario.p, min(4 * scenario.p, scenario.n_servers)),
                     cooldown=3 * ctl.interval,
+                    planner=_planner_fn(scenario, deployment) if ctl.planner else None,
                 )
             )
         for controller in controllers:
@@ -493,7 +507,14 @@ def execute_scenario(
                 if actuator.request_p(int(e.value)):
                     actuator.set_pq(max(actuator.pq, int(e.value)))
             else:
-                _repartition_inline(deployment, sim, int(e.value), notes)
+                # event-driven p change without a control actuator: the
+                # node steps spread over 5 s whichever way p moves
+                if deployment.reconfig is None:
+                    notes.append("repartition skipped: scenario has no object stores")
+                elif not schedule_repartition(deployment, sim, int(e.value), 5.0, 5.0):
+                    notes.append(
+                        f"repartition to {int(e.value)} skipped (not stable or no-op)"
+                    )
                 # raising p shrinks arcs: pq must follow immediately
                 # (Section 4.5); lowering p leaves pq at the old floor until
                 # the downloads complete.
@@ -747,9 +768,16 @@ def run_scenario_spec(
     archive_path: str | None = None,
 ) -> ScenarioResult:
     """Execute one scenario end to end and summarise it."""
-    ex = execute_scenario(
-        scenario, engine=engine, kernel=kernel, archive_path=archive_path
+    return summarise_execution(
+        execute_scenario(
+            scenario, engine=engine, kernel=kernel, archive_path=archive_path
+        )
     )
+
+
+def summarise_execution(ex: ScenarioExecution) -> ScenarioResult:
+    """Fold a raw execution into its comparable :class:`ScenarioResult` row."""
+    scenario = ex.scenario
     deployment = ex.deployment
     horizon = ex.horizon
     log = deployment.log
@@ -759,7 +787,7 @@ def run_scenario_spec(
     shed = getattr(batch, "shed", 0)
     offered = completed + log.dropped + shed
     mean_delay = (sum(delays) / completed) if completed else math.nan
-    control_actions = sum(len(c.actions) for c in ex.controllers)
+    control_actions = len(ex.actions)
     planned = _planned_p(scenario, deployment, offered, horizon)
     elapsed = max(horizon, 1e-9)
     fast_n = batch.fast_scheduled
@@ -803,21 +831,57 @@ def run_scenario_spec(
     )
 
 
-def _repartition_inline(
-    deployment: Deployment, sim: Simulation, p_new: int, notes: list[str]
-) -> None:
-    """Event-driven p change without a control actuator (spread over 5 s)."""
-    rc = deployment.reconfig
-    if rc is None:
-        notes.append("repartition skipped: scenario has no object stores")
-        return
-    if rc.phase != ReconfigPhase.STABLE or p_new == rc.p_target:
-        notes.append(f"repartition to {p_new} skipped (not stable or no-op)")
-        return
-    rc.request_p(p_new)
-    names = sorted(node.name for node in rc.ring)
-    for i, name in enumerate(names):
-        sim.schedule(5.0 * (i + 1) / len(names), lambda n=name: rc.node_step(n))
+def phase_p99(ex: ScenarioExecution) -> tuple[float, float, float]:
+    """p99 delay before, during and after the scenario's stimulus.
+
+    The stimulus is the earliest timed event, else the flash crowd's
+    surge start, else mid-run (a diurnal peak).  "During" spans the quarter
+    horizon after the stimulus, "after" the last fifth of the run; each
+    is NaN when no query arrived in its span.
+    """
+    scenario = ex.scenario
+    w = scenario.workload
+    if scenario.events:
+        start = min(e.at for e in scenario.events)
+    elif w.kind == "flash-crowd":
+        start = w.surge_start_frac * w.duration
+    else:
+        start = 0.5 * ex.horizon
+    log = ex.deployment.log
+    arrivals = log.column("arrival")
+    delays = log.column("finish") - arrivals
+
+    def p99(mask) -> float:
+        d = delays[mask]
+        return array_percentile(d, 99) if d.size else math.nan
+
+    return (
+        p99(arrivals < start),
+        p99((arrivals >= start) & (arrivals < start + 0.25 * ex.horizon)),
+        p99(arrivals >= 0.8 * ex.horizon),
+    )
+
+
+def _planner_fn(scenario: Scenario, deployment: Deployment):
+    """The repartition policy's advisor: the capacity planner over live
+    metrics, aiming the *mean* delay at half the p99 SLO."""
+    servers = deployment.servers.values()
+    mean_fixed = sum(s.fixed_overhead for s in servers) / len(servers)
+
+    def recommend(snapshot) -> int | None:
+        speeds = [s.speed for s in deployment.servers.values() if not s.failed]
+        if not speeds:
+            return None
+        rec = recommend_from_metrics(
+            snapshot,
+            dataset_size=scenario.dataset_size,
+            speeds=speeds,
+            target_delay=scenario.control.slo_p99 / 2.0,
+            fixed_overhead=mean_fixed,
+        )
+        return rec.chosen.p if rec.chosen is not None else None
+
+    return recommend
 
 
 def _planned_p(
@@ -825,9 +889,6 @@ def _planned_p(
 ) -> int | None:
     """The analysis layer's recommendation for the load this scenario saw."""
     try:
-        from ..analysis.planner import WorkloadSpec as PlannerSpec
-        from ..analysis.planner import recommend_configuration
-
         speeds = [s.speed for s in deployment.servers.values() if not s.failed]
         if not speeds or offered == 0:
             return None

@@ -206,7 +206,12 @@ class EventSpec:
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """Closed-loop policies allowed to react during the scenario."""
+    """Closed-loop policies allowed to react during the scenario.
+
+    With ``planner`` the repartition policy steps toward the level the
+    live-metrics capacity planner recommends instead of following its
+    p99 thresholds (the analysis layer in the loop).
+    """
 
     policies: tuple[str, ...] = ("elasticity",)
     slo_p99: float = 1.0
@@ -219,6 +224,7 @@ class ControlSpec:
     grow_seconds: float = 20.0
     drop_seconds: float = 4.0
     growth_model: str = "dell-1950"
+    planner: bool = False
 
     def __post_init__(self) -> None:
         known = {"elasticity", "repartition"}

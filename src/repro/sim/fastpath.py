@@ -132,7 +132,7 @@ from ..kernels.base import (
 )
 from ..kernels.registry import get_kernel
 from ..obs.profiler import resolve_profile
-from ..telemetry.listeners import ChunkArrays, drive_legacy_listeners
+from ..telemetry.listeners import ChunkArrays
 from .server import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -640,13 +640,9 @@ class _Engine:
         arrays; they append to the deployment's columnar logs in a
         handful of array copies -- zero per-query python on listener-free
         runs.  Chunk listeners receive the arrays directly (one
-        ``observe_chunk`` call per flushed chunk); legacy per-query
-        ``query_listeners``, when any are registered, are driven off the
-        same columns by materialising each row as the exact
-        :class:`QueryRecord` the per-query path would have built.
-        Shared by the buffered flush (tuple rows) and the bulk flush
-        (kernel out buffers), so the two paths cannot drift in what they
-        record.
+        ``observe_chunk`` call per flushed chunk).  Shared by the buffered
+        flush (tuple rows) and the bulk flush (kernel out buffers), so the
+        two paths cannot drift in what they record.
         """
         dep = self.dep
         nq = len(qnow)
@@ -656,41 +652,26 @@ class _Engine:
         if self.admission is not None:
             self.admission.log.record_chunk(log_start, nq, self.admission.shed)
 
+        if not dep.chunk_listeners:
+            return
         prof = self.prof
-        has_listeners = bool(dep.chunk_listeners or dep.query_listeners)
-        if prof is not None and has_listeners:
+        if prof is not None:
             prof.begin("listeners")
-
-        if dep.chunk_listeners:
-            chunk = ChunkArrays(
-                query_ids=qqid,
-                arrivals=qnow,
-                finishes=fr,
-                pqs=qpq,
-                subqueries=qpq,
-                scheduling=qsched,
-                network=qrtt,
-                queueing=qmw,
-                service=qms,
-                total=qtotal,
-            )
-            for chunk_listener in dep.chunk_listeners:
-                chunk_listener.observe_chunk(chunk, log_start, nq)
-
-        if dep.query_listeners:
-            # tolist() only on the legacy path: callbacks see python
-            # scalars, exactly as the per-query reference path built them
-            drive_legacy_listeners(
-                dep.query_listeners,
-                qqid.tolist(),
-                qnow.tolist(),
-                fr.tolist(),
-                qpq.tolist(),
-                qpq.tolist(),
-                qsched.tolist(),
-            )
-
-        if prof is not None and has_listeners:
+        chunk = ChunkArrays(
+            query_ids=qqid,
+            arrivals=qnow,
+            finishes=fr,
+            pqs=qpq,
+            subqueries=qpq,
+            scheduling=qsched,
+            network=qrtt,
+            queueing=qmw,
+            service=qms,
+            total=qtotal,
+        )
+        for chunk_listener in dep.chunk_listeners:
+            chunk_listener.observe_chunk(chunk, log_start, nq)
+        if prof is not None:
             prof.end()
 
     def _emit_trace(self, segs, sg_l, sst_l, sf_l, swk_l) -> None:

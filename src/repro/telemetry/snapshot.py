@@ -340,7 +340,6 @@ def restore_deployment(snapshot: Snapshot):
     from ..core.ring import Ring, RingNode
     from ..sim.energy import PowerProfile
     from ..sim.network import NetworkModel, TrafficLedger
-    from ..telemetry.listeners import ListenerList
     from ..telemetry.records import BreakdownLog, DelayLog
 
     meta = snapshot.meta
@@ -470,7 +469,6 @@ def restore_deployment(snapshot: Snapshot):
     dep.stores = {}
     dep.reconfig = None
     dep._known_dead = dict(meta["known_dead"])
-    dep.query_listeners = ListenerList()
     dep.chunk_listeners = []
     dep.retired = {
         s["name"]: _restore_server(s) for s in meta["retired"]

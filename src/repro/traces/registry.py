@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
+from .._registry import Registry
 from .loaders import (
     ArchiveTraceLoader,
     CsvTraceLoader,
@@ -52,8 +53,7 @@ __all__ = [
     "register_loader",
 ]
 
-_FACTORIES: dict[str, Callable[..., TraceLoader]] = {}
-_ALIASES: dict[str, str] = {}
+_REGISTRY = Registry("trace loader", param="loader", unknown="trace loader")
 
 
 def register_loader(
@@ -63,44 +63,12 @@ def register_loader(
     replace: bool = False,
 ) -> None:
     """Register a loader factory under *name* (plus optional aliases)."""
-    if not replace and (name in _FACTORIES or name in _ALIASES):
-        raise ValueError(f"trace loader {name!r} is already registered")
-    _FACTORIES[name] = factory
-    for alias in aliases:
-        if not replace and (alias in _FACTORIES or alias in _ALIASES):
-            raise ValueError(
-                f"trace loader alias {alias!r} is already registered"
-            )
-        _ALIASES[alias] = name
+    _REGISTRY.register(name, factory, aliases, replace)
 
 
 def loader_names() -> tuple[str, ...]:
     """Canonical registered loader names, registration order."""
-    return tuple(_FACTORIES)
-
-
-def _parse_spec(spec: str) -> tuple[str, dict[str, object]]:
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    kwargs: dict[str, object] = {}
-    if params:
-        for item in params.split(","):
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"bad loader parameter {item!r} in {spec!r}; "
-                    "expected key=value"
-                )
-            raw = raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            kwargs[key.strip()] = value
-    return name, kwargs
+    return _REGISTRY.names()
 
 
 def get_loader(spec: Union[str, TraceLoader]) -> TraceLoader:
@@ -112,46 +80,26 @@ def get_loader(spec: Union[str, TraceLoader]) -> TraceLoader:
     """
     if isinstance(spec, TraceLoader):
         return spec
-    name, kwargs = _parse_spec(spec)
-    name = _ALIASES.get(name, name)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown trace loader {name!r}; registered: "
-            f"{', '.join(loader_names())}"
-        )
-    return factory(**kwargs)
+    return _REGISTRY.build(spec)
 
 
 def is_known_loader(spec: str) -> bool:
     """Cheap name-only validation (no instantiation, no file access)."""
-    try:
-        name, _ = _parse_spec(spec)
-    except ValueError:
-        return False
-    return name in _FACTORIES or name in _ALIASES
+    return _REGISTRY.is_known(spec)
 
 
 def canonical_spec(spec: str) -> str:
     """Normalise *spec*: resolve aliases, keep any parameter suffix."""
-    name, _ = _parse_spec(spec)  # validates the k=v syntax
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _FACTORIES:
-        raise ValueError(
-            f"unknown trace loader {name!r}; registered: "
-            f"{', '.join(loader_names())}"
-        )
-    _, _, params = spec.partition(":")
-    return f"{resolved}:{params}" if params else resolved
+    return _REGISTRY.canonical(spec)
 
 
 def loader_specs() -> list[dict[str, object]]:
     """Inspection rows for ``repro traces``: name and description."""
     rows: list[dict[str, object]] = []
     for name in loader_names():
-        loader = _FACTORIES[name]
+        loader = _REGISTRY.factories[name]
         description = getattr(loader, "description", "") or ""
-        aliases = tuple(a for a, n in _ALIASES.items() if n == name)
+        aliases = tuple(a for a, n in _REGISTRY.aliases.items() if n == name)
         rows.append(
             {"name": name, "aliases": aliases, "description": description}
         )

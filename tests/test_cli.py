@@ -86,6 +86,23 @@ class TestCommands:
         assert "p99 after" in out
         assert "adapted        : True" in out
 
+    @pytest.mark.parametrize("scenario", ["flash-crowd", "diurnal", "rack-failure"])
+    def test_control_names_its_scenario(self, capsys, scenario):
+        rc = main(
+            [
+                "control",
+                "--scenario", scenario,
+                "--servers", "8",
+                "-p", "3",
+                "--duration", "80",
+                "--seed", "3",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        # the result row leads with the builtin scenario's name
+        assert out.splitlines()[2].split()[0] == scenario
+
     def test_pps_demo(self, capsys):
         rc = main(["pps-demo", "--files", "60"])
         assert rc == 0

@@ -11,6 +11,7 @@ from repro.control.controllers import (
     SLOElasticityController,
 )
 from repro.control.metrics import MetricsSnapshot
+from repro.telemetry.listeners import ChunkListener
 
 
 def snap(
@@ -326,6 +327,11 @@ class TestMultiFrontendPoolSurface:
     def test_query_listeners_fire(self):
         dep = MultiFrontEndDeployment([1.0] * 4, p=2, n_frontends=2, seed=1)
         seen = []
-        dep.query_listeners.append(seen.append)
+
+        class Recorder(ChunkListener):
+            def observe_record(self, record, breakdown=None):
+                seen.append(record)
+
+        dep.chunk_listeners.append(Recorder())
         dep.run_query(0.0)
         assert len(seen) == 1

@@ -1,102 +1,107 @@
-"""Tests for the closed-loop scenario runner and its integration points."""
+"""Tests for the closed-loop presets behind ``repro control``.
+
+``repro control`` runs a builtin battery scenario with a
+:class:`~repro.scenarios.spec.ControlSpec` attached
+(:func:`~repro.scenarios.control_scenario`) through the one scenario
+runner, :func:`~repro.scenarios.execute_scenario`; controllers actuate
+through :class:`~repro.control.DeploymentActuator`.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.deployment import Deployment, DeploymentConfig
 from repro.cluster.models import MODEL_CATALOGUE, hen_testbed
-from repro.control import (
-    DeploymentActuator,
-    ScenarioConfig,
-    ScenarioRunner,
-    run_scenario,
+from repro.control import DeploymentActuator
+from repro.scenarios import (
+    CONTROL_SCENARIOS,
+    ControlSpec,
+    Scenario,
+    WorkloadSpec,
+    build_deployment,
+    control_scenario,
+    execute_scenario,
+    phase_p99,
 )
+from repro.scenarios.runner import _vector_rate_fn
 from repro.sim.engine import Simulation
-from repro.sim.workload import FlashCrowdTrace, RampTrace
+from repro.telemetry.listeners import ChunkListener
+from repro.telemetry.records import percentile
+
+BOTH = ("elasticity", "repartition")
 
 
-def small_config(**kw):
-    kw.setdefault("scenario", "flash-crowd")
-    kw.setdefault("n_servers", 8)
-    kw.setdefault("p0", 3)
-    kw.setdefault("duration", 80.0)
-    kw.setdefault("seed", 3)
-    return ScenarioConfig(**kw)
+def small_preset(name="flash-crowd", policies=BOTH, duration=80.0, **control):
+    return control_scenario(
+        name,
+        ControlSpec(policies=policies, **control),
+        n_servers=8,
+        p=3,
+        duration=duration,
+        seed=3,
+    )
 
 
-class TestSimulationEvery:
-    def test_fires_periodically(self):
-        sim = Simulation()
-        seen = []
-        sim.every(2.0, seen.append)
-        sim.run(until=10.0)
-        assert seen == [2.0, 4.0, 6.0, 8.0, 10.0]
+def run(name="flash-crowd", engine="batched", **kw):
+    return execute_scenario(small_preset(name, **kw), engine=engine)
 
-    def test_stops_on_false(self):
-        sim = Simulation()
-        seen = []
 
-        def cb(now):
-            seen.append(now)
-            return len(seen) < 3
-
-        sim.every(1.0, cb)
-        sim.run(until=100.0)
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_cancel_stops_series(self):
-        sim = Simulation()
-        seen = []
-        handle = sim.every(1.0, seen.append)
-        sim.run(until=2.5)
-        handle.cancel()
-        sim.run(until=10.0)
-        assert seen == [1.0, 2.0]
-        assert handle.fired == 2
-
-    def test_explicit_start(self):
-        sim = Simulation()
-        seen = []
-        sim.every(5.0, seen.append, start=1.0)
-        sim.run(until=12.0)
-        assert seen == [1.0, 6.0, 11.0]
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            Simulation().every(0.0, lambda now: None)
+def _sim_columns(ex):
+    """The delay log's simulated-time columns.  ``scheduling`` holds the
+    measured scheduler wall-clock, which scenarios record but never charge
+    into the delays."""
+    cols = ex.deployment.log.columns()
+    return {k: v.copy() for k, v in cols.items() if k != "scheduling"}
 
 
 class TestWorkloadTraces:
+    """The surge and ramp shapes, as the runner's vectorised rate
+    functions draw them."""
+
+    @staticmethod
+    def rate_fn(**kw):
+        fn, peak = _vector_rate_fn(Scenario(name="t", workload=WorkloadSpec(**kw)))
+        return (lambda t: float(fn(np.array([t]))[0])), peak
+
     def test_flash_crowd_phases(self):
-        t = FlashCrowdTrace(
-            base_rate=10.0, surge_factor=4.0, surge_start=100.0,
-            surge_duration=50.0, decay=10.0,
+        # surge over [100, 150] s with a 10 s decay constant
+        rate, peak = self.rate_fn(
+            kind="flash-crowd", rate=10.0, duration=400.0, surge_factor=4.0,
+            surge_start_frac=0.25, surge_duration_frac=0.125, decay_frac=0.025,
         )
-        assert t.rate(0.0) == 10.0
-        assert t.rate(120.0) == 40.0
+        assert peak == 40.0
+        assert rate(0.0) == 10.0
+        assert rate(120.0) == 40.0
         # one decay constant after the surge: base + (peak-base)/e
-        assert t.rate(160.0) == pytest.approx(10.0 + 30.0 / math.e)
+        assert rate(160.0) == pytest.approx(10.0 + 30.0 / math.e)
 
     def test_flash_crowd_instant_drop(self):
-        t = FlashCrowdTrace(base_rate=5.0, surge_start=10.0, surge_duration=5.0)
-        assert t.rate(15.1) == 5.0
+        rate, _ = self.rate_fn(
+            kind="flash-crowd", rate=5.0, duration=40.0,
+            surge_start_frac=0.25, surge_duration_frac=0.125, decay_frac=0.0,
+        )
+        assert rate(15.1) == 5.0
 
     def test_flash_crowd_validation(self):
         with pytest.raises(ValueError):
-            FlashCrowdTrace(base_rate=0.0)
+            WorkloadSpec(kind="flash-crowd", rate=0.0)
         with pytest.raises(ValueError):
-            FlashCrowdTrace(base_rate=1.0, surge_factor=0.5)
+            WorkloadSpec(kind="flash-crowd", rate=1.0, duration=0.0)
 
     def test_ramp(self):
-        t = RampTrace(start_rate=10.0, end_rate=30.0, t0=100.0, t1=200.0)
-        assert t.rate(0.0) == 10.0
-        assert t.rate(150.0) == pytest.approx(20.0)
-        assert t.rate(999.0) == 30.0
+        rate, peak = self.rate_fn(
+            kind="ramp", rate=10.0, end_rate=30.0, duration=100.0
+        )
+        assert peak == 30.0
+        assert rate(0.0) == 10.0
+        assert rate(50.0) == pytest.approx(20.0)
+        assert rate(999.0) == 30.0
 
     def test_ramp_validation(self):
         with pytest.raises(ValueError):
-            RampTrace(start_rate=1.0, end_rate=2.0, t0=5.0, t1=5.0)
+            WorkloadSpec(kind="ramp", rate=1.0, end_rate=2.0, duration=0.0)
 
 
 class TestDeploymentElasticity:
@@ -159,9 +164,15 @@ class TestDeploymentElasticity:
         dep.rings[0].validate()
 
     def test_query_listeners_invoked(self):
+        """The per-query path feeds chunk listeners one record at a time."""
         dep = self.make()
         seen = []
-        dep.query_listeners.append(seen.append)
+
+        class Recorder(ChunkListener):
+            def observe_record(self, record, breakdown=None):
+                seen.append(record)
+
+        dep.chunk_listeners.append(Recorder())
         dep.run_query(0.0, 3)
         assert len(seen) == 1
         assert seen[0].delay > 0
@@ -169,90 +180,128 @@ class TestDeploymentElasticity:
 
 class TestScenarioRunner:
     def test_flash_crowd_adapts_and_reports(self):
-        report = run_scenario(small_config())
-        assert report.adapted  # the controller acted at least once mid-run
-        kinds = {a.kind for a in report.actions}
+        ex = run()
+        assert ex.actions  # the controller acted at least once mid-run
+        kinds = {a.kind for a in ex.actions}
         assert kinds & {"add_server", "remove_server", "request_p", "set_pq"}
-        assert report.timeline, "control ticks recorded"
-        assert not math.isnan(report.p99_before)
-        assert not math.isnan(report.p99_after)
-        assert len(report.log.records) > 100
-        # summary renders without crashing and names the scenario
-        assert "flash-crowd" in report.summary()
+        assert len(ex.decisions) > 0, "control ticks recorded"
+        before, _, after = phase_p99(ex)
+        assert not math.isnan(before)
+        assert not math.isnan(after)
+        assert len(ex.deployment.log) > 100
+        assert ex.scenario.name == "flash-crowd"
+
+    def test_phase_p99_windows(self):
+        # before the surge, the quarter horizon after it, the last fifth,
+        # recomputed record by record
+        ex = run()
+        w = ex.scenario.workload
+        start, horizon = w.surge_start_frac * w.duration, ex.horizon
+        records = list(ex.deployment.log.records)
+
+        def p99_between(t0, t1):
+            return percentile(
+                [r.delay for r in records if t0 <= r.arrival < t1], 99
+            )
+
+        assert phase_p99(ex) == (
+            p99_between(0.0, start),
+            p99_between(start, start + 0.25 * horizon),
+            p99_between(0.8 * horizon, math.inf),
+        )
 
     def test_runs_are_deterministic(self):
-        # Control decisions are seeded; only the *measured* scheduling
-        # wall-clock folded into each delay varies run to run (microseconds
-        # against delays of hundreds of milliseconds).
-        a = run_scenario(small_config())
-        b = run_scenario(small_config())
-        assert [(x.time, x.kind) for x in a.actions] == [
-            (x.time, x.kind) for x in b.actions
+        # scenarios do not charge measured scheduling wall-clock into the
+        # delays, so two runs agree exactly, delays included
+        a, b = run(), run()
+        assert [(x.time, x.kind, x.detail) for x in a.actions] == [
+            (x.time, x.kind, x.detail) for x in b.actions
         ]
-        assert [(t, pq, n) for t, pq, _, n in a.timeline] == [
-            (t, pq, n) for t, pq, _, n in b.timeline
-        ]
-        assert a.p99_after == pytest.approx(b.p99_after, rel=0.05)
+        for name, col in _sim_columns(a).items():
+            assert np.array_equal(col, b.deployment.log.column(name)), name
+        assert phase_p99(a) == phase_p99(b)
 
     def test_repartition_changes_p_mid_run(self):
-        report = run_scenario(
-            small_config(policies=("repartition",), duration=100.0)
-        )
-        p_levels = {t[1] for t in report.timeline}
-        assert len(p_levels) > 1, "pq never moved"
+        ex = run(policies=("repartition",), duration=100.0)
+        assert "request_p" in {a.kind for a in ex.actions}
+        pq_levels = set(ex.deployment.log.column("pq").tolist())
+        assert len(pq_levels) > 1, "pq never moved"
 
     def test_rack_failure_scenario_survives(self):
-        # Cap p so replacement windows stay wider than the dead ranges (the
-        # rack holds the fastest -- widest-ranged -- nodes on 8 servers),
-        # and rebuild promptly.  Adjacent rack-mates act as one combined
-        # hole for the fall-back (Section 4.4, contiguous-run semantics):
-        # queries overlapping a hole wider than the replication arc *drop*
-        # into the yield accounting -- they used to be counted as served
-        # with silently incomplete results -- so the bar here is honest
-        # yield during the crisis window plus full recovery after rebuild.
-        report = run_scenario(
-            small_config(
-                scenario="rack-failure",
-                rack_size=2,
-                duration=100.0,
-                p_max=4,
-                rebuild_delay=15.0,
-            )
-        )
-        assert report.adapted
+        # Adjacent rack-mates act as one combined hole for the fall-back
+        # (Section 4.4, contiguous-run semantics): queries overlapping a
+        # hole wider than the replication arc *drop* into the yield
+        # accounting, so the bar is honest yield across the crisis plus
+        # full service after the rebuild.  Cap p so replacement windows
+        # stay wider than the dead ranges.
+        ex = run("rack-failure", duration=100.0, p_max=4)
+        assert ex.actions
+        log = ex.deployment.log
         # membership eventually redistributed the dead ranges
-        assert report.log.yield_fraction() > 0.85
+        assert log.yield_fraction() > 0.85
         # after the rebuild the system serves everything again
-        rebuild_done = report.stimulus_time + 20.0
-        tail = [r for r in report.log.records if r.arrival > rebuild_done]
-        assert tail, "no queries served after the rebuild"
-        assert report.log.records[-1].arrival > 0.9 * 100.0
+        rebuild = next(e.at for e in ex.scenario.events if e.action == "rebuild")
+        arrivals = log.column("arrival")
+        assert (arrivals > rebuild + 5.0).any(), "no queries served after the rebuild"
+        assert arrivals[-1] > 0.9 * 100.0
 
     def test_diurnal_scenario(self):
-        report = run_scenario(small_config(scenario="diurnal", duration=100.0))
-        assert report.adapted
-        assert report.timeline[-1][3] >= report.config.min_servers
+        ex = run("diurnal", duration=100.0)
+        assert ex.actions
+        min_servers = max(2, ex.scenario.n_servers // 2)
+        assert len(ex.deployment.servers) >= min_servers
 
     def test_planner_mode_runs(self):
-        report = run_scenario(
-            small_config(policies=("repartition",), use_planner=True)
-        )
-        assert report.timeline  # ran to completion with the advisor in loop
+        ex = run(policies=("repartition",), planner=True)
+        (controller,) = ex.controllers
+        assert controller.planner is not None
+        assert len(ex.decisions) > 0  # ran to completion with the advisor in loop
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(scenario="nope")
+            control_scenario("nope", ControlSpec())
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioRunner(small_config(policies=("magic",)))
+            small_preset(policies=("magic",))
+
+
+def _run_record(ex):
+    return (
+        _sim_columns(ex),
+        ex.decisions.columns(),
+        [(a.time, a.controller, a.kind, a.detail, a.value) for a in ex.actions],
+    )
+
+
+class TestPresetEngines:
+    """Each preset runs byte-identically on both engines."""
+
+    @pytest.mark.parametrize("name", CONTROL_SCENARIOS)
+    def test_batched_matches_reference(self, name):
+        sc = control_scenario(
+            name, ControlSpec(policies=BOTH), n_servers=10, p=3, duration=60.0,
+            seed=5,
+        )
+        log_b, dec_b, act_b = _run_record(execute_scenario(sc, engine="batched"))
+        log_r, dec_r, act_r = _run_record(execute_scenario(sc, engine="reference"))
+        assert act_b and act_b == act_r
+        assert log_b.keys() == log_r.keys()
+        for key in log_b:
+            assert log_b[key].tobytes() == log_r[key].tobytes(), key
+        assert dec_b.keys() == dec_r.keys()
+        for key in dec_b:
+            assert dec_b[key].tobytes() == dec_r[key].tobytes(), key
 
 
 class TestActuator:
     def make(self):
-        cfg = small_config()
-        runner = ScenarioRunner(cfg)
-        return runner.actuator, runner
+        sc = small_preset()
+        sim = Simulation()
+        act = DeploymentActuator(
+            build_deployment(sc), sim, sc.p, grow_seconds=20.0, drop_seconds=4.0
+        )
+        return act, sim
 
     def test_pq_floor_follows_p_store(self):
         act, _ = self.make()
@@ -260,10 +309,10 @@ class TestActuator:
         assert act.pq == act.deployment.config.p  # clamped to the floor
 
     def test_request_p_schedules_background_steps(self):
-        act, runner = self.make()
+        act, sim = self.make()
         assert act.request_p(act.deployment.config.p + 1)
         assert not act.reconfig_stable
-        runner.sim.run(until=runner.config.drop_seconds + 1.0)
+        sim.run(until=act.drop_seconds + 1.0)
         assert act.reconfig_stable
         assert act.p_store == act.deployment.config.p + 1
 

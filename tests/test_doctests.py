@@ -15,6 +15,7 @@ import pytest
 
 pytest.importorskip("numpy")  # run_queries_fast examples need the fast path
 
+import repro._registry
 import repro.admission.base
 import repro.admission.records
 import repro.cli
@@ -31,6 +32,7 @@ import repro.traces.spec
 #: every module whose docstring examples are part of the documented
 #: contract; add modules here when giving them doctest examples.
 DOCTEST_MODULES = (
+    repro._registry,
     repro.admission.base,
     repro.admission.records,
     repro.cli,

@@ -104,7 +104,7 @@ class TestRegistry:
         finally:
             # the registry is process-global: leaking a select-less kernel
             # would break any later registry-enumerating test or CLI run
-            registry._FACTORIES.pop("custom-test", None)
+            registry._REGISTRY.factories.pop("custom-test", None)
         assert "custom-test" not in kernel_names()
 
     def test_kernel_specs_rows(self):
@@ -369,7 +369,7 @@ class TestBenchKernelDimension:
         def boom():
             raise KernelUnavailableError("no toolchain (test)")
 
-        monkeypatch.setitem(registry._FACTORIES, "compiled", boom)
+        monkeypatch.setitem(registry._REGISTRY.factories, "compiled", boom)
         sweep = run_sweep(PROFILES["smoke"][0], kernels=["compiled"])
         row = sweep["kernels"]["compiled"]
         assert row["available"] is False

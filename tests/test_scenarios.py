@@ -90,6 +90,17 @@ class TestSpecs:
         data["updates"]["batch_interval"] = None
         assert scenario_from_dict(data) == scenario
 
+    def test_from_dict_reads_control_without_planner(self):
+        # recordings written before ControlSpec.planner existed lack it
+        from repro.scenarios.spec import scenario_from_dict, scenario_to_dict
+
+        scenario = small(control=ControlSpec(policies=("repartition",)))
+        data = scenario_to_dict(scenario)
+        del data["control"]["planner"]
+        assert scenario_from_dict(data) == scenario
+        planned = small(control=ControlSpec(policies=("repartition",), planner=True))
+        assert scenario_from_dict(scenario_to_dict(planned)) == planned
+
 
 class TestWorkloads:
     @pytest.mark.parametrize("kind", ["poisson", "diurnal", "flash-crowd", "ramp"])

@@ -171,7 +171,7 @@ class TestRegistry:
             assert trace.n_queries == 3
             assert trace.arrivals.tolist() == pytest.approx([0.0, 0.4, 0.8])
         finally:
-            trace_registry._FACTORIES.pop("test-lines", None)
+            trace_registry._REGISTRY.factories.pop("test-lines", None)
 
     def test_infer_loader(self, tmp_path):
         assert infer_loader("a/b.CSV") == "csv"
